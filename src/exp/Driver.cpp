@@ -12,18 +12,12 @@
 #include "exp/Runner.h"
 #include "exp/ThreadPool.h"
 #include "support/Path.h"
-#include "support/Socket.h"
-#include "svc/Coordinator.h"
-#include "svc/FaultSpec.h"
-#include "svc/Protocol.h"
-#include "svc/Worker.h"
 #include "telemetry/CounterInfo.h"
 #include "telemetry/Counters.h"
 #include "telemetry/Telemetry.h"
 #include "telemetry/TimeSeries.h"
 
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,25 +52,14 @@ struct DriverOptions {
   unsigned CkptRegions = 0;   ///< --ckpt-regions: BBV representative phases
   std::string RunDir;         ///< --run-dir: write a self-describing manifest
   std::string Progress;       ///< --progress: auto|off|text|jsonl
+  double CellTimeoutS = 0;    ///< --cell-timeout: per-cell wall-clock budget
   bool ListCounters = false;  ///< --list-counters: print the description table
   bool UpdateBaselines = false; ///< --update-baselines: refresh bench/ JSON
   std::string BaselineDir = "bench"; ///< --baseline-dir: where baselines live
-
-  // Distributed sweep service (docs/SERVICE.md).
-  std::string Serve;          ///< --serve ADDR: run the coordinator here
-  std::string WorkerAddr;     ///< --worker ADDR: run the worker loop
-  int WorkerId = 0;           ///< --worker-id: names the worker, keys faults
-  unsigned SpawnWorkers = 0;  ///< --spawn-workers: fork N workers
-  int MaxWorkerRestarts = -1; ///< --max-worker-restarts (-1 = 2 * spawn)
-  std::string FaultSpecText;  ///< --fault-spec: deterministic fault injection
-  double CellTimeoutS = 0;    ///< --cell-timeout: per-cell wall-clock budget
-  double LeaseHeartbeatS = 2.0; ///< --lease-heartbeat: heartbeat interval
-  unsigned RetryBudget = 3;   ///< --retry-budget: attempts per cell
-  std::string AddrFile;       ///< --addr-file: publish the bound address
 };
 
 /// Exit status of a run that completed with cells explicitly missing
-/// (lost to worker failures or timed out) — degraded, not failed.
+/// (timed out) — degraded, not failed.
 constexpr int PartialResultExit = 3;
 
 /// Accepts both "--flag value" and "--flag=value". Returns nullptr when
@@ -263,54 +246,6 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.Progress = V;
     return true;
   }
-  if (const char *V = flagValue("--serve", Argv, Argc, I)) {
-    Opt.Serve = V;
-    return true;
-  }
-  if (const char *V = flagValue("--worker-id", Argv, Argc, I)) {
-    uint64_t N = 0;
-    if (!parseU64(V, N) || N > 1u << 20) {
-      std::fprintf(stderr,
-                   "bor-bench: --worker-id needs a small whole number, got "
-                   "'%s'\n",
-                   V);
-      std::exit(2);
-    }
-    Opt.WorkerId = static_cast<int>(N);
-    return true;
-  }
-  if (const char *V = flagValue("--worker", Argv, Argc, I)) {
-    Opt.WorkerAddr = V;
-    return true;
-  }
-  if (const char *V = flagValue("--spawn-workers", Argv, Argc, I)) {
-    uint64_t N = 0;
-    if (!parseU64(V, N) || N == 0 || N > 256) {
-      std::fprintf(stderr,
-                   "bor-bench: --spawn-workers needs a whole number in "
-                   "1..256, got '%s'\n",
-                   V);
-      std::exit(2);
-    }
-    Opt.SpawnWorkers = static_cast<unsigned>(N);
-    return true;
-  }
-  if (const char *V = flagValue("--max-worker-restarts", Argv, Argc, I)) {
-    uint64_t N = 0;
-    if (!parseU64(V, N) || N > 1u << 16) {
-      std::fprintf(stderr,
-                   "bor-bench: --max-worker-restarts needs a whole number, "
-                   "got '%s'\n",
-                   V);
-      std::exit(2);
-    }
-    Opt.MaxWorkerRestarts = static_cast<int>(N);
-    return true;
-  }
-  if (const char *V = flagValue("--fault-spec", Argv, Argc, I)) {
-    Opt.FaultSpecText = V;
-    return true;
-  }
   if (const char *V = flagValue("--cell-timeout", Argv, Argc, I)) {
     if (!parseF64(V, Opt.CellTimeoutS) || Opt.CellTimeoutS <= 0) {
       std::fprintf(stderr,
@@ -319,36 +254,6 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
                    V);
       std::exit(2);
     }
-    return true;
-  }
-  if (const char *V = flagValue("--lease-heartbeat", Argv, Argc, I)) {
-    if (!parseF64(V, Opt.LeaseHeartbeatS) || Opt.LeaseHeartbeatS <= 0) {
-      std::fprintf(stderr,
-                   "bor-bench: --lease-heartbeat needs seconds > 0, got "
-                   "'%s'\n",
-                   V);
-      std::exit(2);
-    }
-    return true;
-  }
-  if (const char *V = flagValue("--retry-budget", Argv, Argc, I)) {
-    uint64_t N = 0;
-    if (!parseU64(V, N) || N == 0 || N > 1000) {
-      std::fprintf(stderr,
-                   "bor-bench: --retry-budget needs a whole number in "
-                   "1..1000, got '%s'\n",
-                   V);
-      std::exit(2);
-    }
-    Opt.RetryBudget = static_cast<unsigned>(N);
-    return true;
-  }
-  if (const char *V = flagValue("--addr-file", Argv, Argc, I)) {
-    if (*V == '\0') {
-      std::fprintf(stderr, "bor-bench: --addr-file needs a file path\n");
-      std::exit(2);
-    }
-    Opt.AddrFile = V;
     return true;
   }
   if (std::strcmp(A, "--update-baselines") == 0) {
@@ -501,15 +406,14 @@ std::string jsonPathFor(const std::string &Name, const DriverOptions &Opt) {
   return Opt.JsonPath.empty() ? "BENCH_" + Name + ".json" : Opt.JsonPath;
 }
 
-/// Runs one registered experiment with the configured sinks on
-/// \p Executor (null = a fresh in-process LocalExecutor). Returns 0 on
+/// Runs one registered experiment with the configured sinks. Returns 0 on
 /// success; a partial grid is reported through \p Partial, not the return
 /// code, so later experiments still run. \p Manifest (optional) records
 /// the experiment, its result file, and degradation counts.
 int runOne(const std::string &Name, const DriverOptions &Opt,
            const telemetry::TelemetrySink *Telemetry,
            ckpt::LibraryPool *CkptPool, ManifestInfo *Manifest,
-           CellExecutor *Executor, bool &Partial) {
+           bool &Partial) {
   ExperimentRegistry &Registry = ExperimentRegistry::instance();
   if (!Registry.contains(Name)) {
     std::fprintf(stderr,
@@ -548,17 +452,14 @@ int runOne(const std::string &Name, const DriverOptions &Opt,
   RunnerHooks Hooks;
   Hooks.Telemetry = Telemetry;
   Hooks.Progress = progressMode(Opt);
+  Hooks.CellTimeoutS = Opt.CellTimeoutS;
   telemetry::TraceSpan Span(Telemetry ? Telemetry->Trace : nullptr, Name,
                             "experiment");
-  LocalExecutor Local(Opt.Threads, Opt.CellTimeoutS);
-  GridResult Grid =
-      runExperimentWith(Spec, Executor ? *Executor : Local, Sinks, Hooks);
-  if (Grid.Partial) {
+  GridResult Grid = runExperiment(Spec, Opt.Threads, Sinks, Hooks);
+  if (Grid.partial()) {
     Partial = true;
-    if (Manifest) {
-      Manifest->CellsLost += Grid.CellsLost;
+    if (Manifest)
       Manifest->CellsTimedOut += Grid.CellsTimedOut;
-    }
   }
   return 0;
 }
@@ -584,69 +485,6 @@ std::string commandLine(int Argc, char **Argv) {
     Cmd += Argv[I];
   }
   return Cmd;
-}
-
-/// Service-mode flag validation shared by benchMain and the wrappers.
-int checkServiceFlags(const DriverOptions &Opt) {
-  if (!Opt.Serve.empty() && !Opt.WorkerAddr.empty()) {
-    std::fprintf(stderr,
-                 "bor-bench: --serve and --worker are opposite roles; pick "
-                 "one\n");
-    return 2;
-  }
-  if (!Opt.Serve.empty() && Opt.CkptLibrary) {
-    std::fprintf(stderr,
-                 "bor-bench: --serve cannot use --ckpt-library (the "
-                 "checkpoint pool is process-local; workers would each "
-                 "rebuild it)\n");
-    return 2;
-  }
-  if (!Opt.FaultSpecText.empty() && Opt.WorkerAddr.empty() &&
-      Opt.SpawnWorkers == 0) {
-    std::fprintf(stderr,
-                 "bor-bench: --fault-spec only applies to workers; use it "
-                 "with --worker or --spawn-workers\n");
-    return 2;
-  }
-  if (Opt.SpawnWorkers != 0 && Opt.Serve.empty()) {
-    std::fprintf(stderr, "bor-bench: --spawn-workers requires --serve\n");
-    return 2;
-  }
-  if (!Opt.AddrFile.empty() && Opt.Serve.empty()) {
-    std::fprintf(stderr, "bor-bench: --addr-file requires --serve\n");
-    return 2;
-  }
-  if (!Opt.FaultSpecText.empty()) {
-    svc::FaultSpec Spec;
-    std::string Err;
-    if (!svc::FaultSpec::parse(Opt.FaultSpecText, Spec, Err)) {
-      std::fprintf(stderr, "bor-bench: --fault-spec: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  return 0;
-}
-
-/// The --worker mode: connect to the coordinator and execute leases until
-/// told to shut down. Ignores every output flag — results travel the
-/// wire, not this process's stdout.
-int runWorkerMode(const DriverOptions &Opt) {
-  svc::WorkerConfig WC;
-  std::string Err;
-  if (!net::parseHostPort(Opt.WorkerAddr, WC.Host, WC.Port, Err)) {
-    std::fprintf(stderr, "bor-bench: --worker: %s\n", Err.c_str());
-    return 2;
-  }
-  WC.WorkerId = Opt.WorkerId;
-  if (!Opt.FaultSpecText.empty()) {
-    svc::FaultSpec Spec;
-    if (!svc::FaultSpec::parse(Opt.FaultSpecText, Spec, Err)) {
-      std::fprintf(stderr, "bor-bench: --fault-spec: %s\n", Err.c_str());
-      return 2;
-    }
-    WC.Faults = svc::planForWorker(Spec, Opt.WorkerId);
-  }
-  return svc::runWorker(WC);
 }
 
 /// Flag-conflict checks shared by benchMain and the per-figure wrappers.
@@ -699,8 +537,6 @@ int runAll(const std::vector<std::string> &Experiments,
   Manifest.Plan = Opt.Plan;
   Manifest.CkptLibrary = Opt.CkptLibrary;
   Manifest.CkptRegions = Opt.CkptRegions;
-  Manifest.Serve = !Opt.Serve.empty();
-  Manifest.SpawnWorkers = Opt.SpawnWorkers;
 
   // One pool for the whole invocation: experiments sharing a (program,
   // decider, period) key build its library exactly once.
@@ -708,59 +544,14 @@ int runAll(const std::vector<std::string> &Experiments,
   if (Opt.CkptLibrary)
     Pool = std::make_unique<ckpt::LibraryPool>(Opt.CkptDir);
 
-  // Serve mode: bind the coordinator, spawn any requested workers, and
-  // route every grid through it instead of the in-process pool. SIGTERM
-  // becomes a graceful drain (finish in-flight cells, mark the rest).
-  std::unique_ptr<svc::Coordinator> Coord;
-  std::unique_ptr<svc::ServeExecutor> Serve;
-  if (!Opt.Serve.empty()) {
-    std::string Host, Err;
-    int Port = 0;
-    if (!net::parseHostPort(Opt.Serve, Host, Port, Err)) {
-      std::fprintf(stderr, "bor-bench: --serve: %s\n", Err.c_str());
-      return 2;
-    }
-    svc::CoordinatorConfig CC;
-    CC.Host = Host;
-    CC.Port = Port;
-    CC.HeartbeatS = Opt.LeaseHeartbeatS;
-    CC.CellTimeoutS = Opt.CellTimeoutS;
-    CC.Backoff.Budget = Opt.RetryBudget;
-    CC.SpawnWorkers = Opt.SpawnWorkers;
-    CC.MaxWorkerRestarts = Opt.MaxWorkerRestarts;
-    CC.FaultSpecText = Opt.FaultSpecText;
-    CC.AddrFile = Opt.AddrFile;
-    Coord = std::make_unique<svc::Coordinator>(CC);
-    if (!Coord->ok()) {
-      std::fprintf(stderr, "bor-bench: --serve: %s\n",
-                   Coord->error().c_str());
-      return 1;
-    }
-    ExperimentOptions LeaseOpt;
-    LeaseOpt.Scale = Opt.Scale;
-    LeaseOpt.Sample = Opt.Sample;
-    LeaseOpt.Plan = Opt.Plan;
-    Coord->setLeaseOptions(svc::encodeOptions(LeaseOpt));
-    std::signal(SIGTERM, [](int) { svc::Coordinator::requestDrain(); });
-    if (!Coord->spawnWorkers()) {
-      std::fprintf(stderr, "bor-bench: --spawn-workers: %s\n",
-                   Coord->error().c_str());
-      return 1;
-    }
-    Serve = std::make_unique<svc::ServeExecutor>(*Coord);
-  }
-
   bool Partial = false;
   for (size_t I = 0; I != Experiments.size(); ++I) {
     if (I)
       std::printf("\n");
     if (int RC = runOne(Experiments[I], Opt, SinkPtr, Pool.get(),
-                        Opt.RunDir.empty() ? nullptr : &Manifest,
-                        Serve.get(), Partial))
+                        Opt.RunDir.empty() ? nullptr : &Manifest, Partial))
       return RC;
   }
-  if (Coord)
-    Coord->shutdown();
   if (int RC =
           writeTelemetryOutputs(Opt, Trace.get(), Series.get(), &Manifest))
     return RC;
@@ -800,16 +591,8 @@ int benchMain(int Argc, char **Argv) {
                    "                 [--progress auto|off|text|jsonl] "
                    "[--cell-timeout SEC]\n"
                    "       bor-bench --all [same flags]\n"
-                   "       bor-bench --serve ADDR [--spawn-workers N] "
-                   "[--max-worker-restarts N]\n"
-                   "                 [--lease-heartbeat SEC] [--retry-budget "
-                   "N] [--addr-file PATH]\n"
-                   "                 [--fault-spec SPEC] [grid flags as "
-                   "above]\n"
-                   "       bor-bench --worker ADDR [--worker-id N] "
-                   "[--fault-spec SPEC]\n"
-                   "exit status: 0 ok, 3 completed with missing cells "
-                   "(see docs/SERVICE.md)\n");
+                   "exit status: 0 ok, 3 completed with timed-out cells "
+                   "(see docs/BENCHMARKING.md)\n");
       return 2;
     }
   }
@@ -817,10 +600,6 @@ int benchMain(int Argc, char **Argv) {
     return RC;
   if (int RC = checkOutputFlags(Opt))
     return RC;
-  if (int RC = checkServiceFlags(Opt))
-    return RC;
-  if (!Opt.WorkerAddr.empty())
-    return runWorkerMode(Opt);
 
   ExperimentRegistry &Registry = ExperimentRegistry::instance();
   if (Opt.ListCounters) {
@@ -878,10 +657,6 @@ int experimentMain(const char *Name, int Argc, char **Argv) {
     return RC;
   if (int RC = checkOutputFlags(Opt))
     return RC;
-  if (int RC = checkServiceFlags(Opt))
-    return RC;
-  if (!Opt.WorkerAddr.empty())
-    return runWorkerMode(Opt);
   return runAll({Name}, Opt, Name, commandLine(Argc, Argv));
 }
 

@@ -198,8 +198,8 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
   S.Title = Title;
   S.Notes = "ok flags: sampled estimate within the sampler's own 95% CI "
             "(plus a 2.5% bias\nmargin) of the full run's value. The "
-            "summary verdict is PASS only when every\ncell agrees and the "
-            "sampled runs took <= 25% of the full runs' wall-clock.";
+            "summary verdict is PASS only when every\ncell agrees; "
+            "sampled_wallclock_pct is reported, not judged.";
 
   auto Base = std::make_shared<Comparison>();
   S.Setup = [Base, Chars, Plan] {
@@ -251,7 +251,7 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
       SampledMs += R.findMetric("sampled_ms")->D;
     }
     double WallPct = FullMs > 0 ? 100.0 * SampledMs / FullMs : 100.0;
-    bool Pass = Ok == Cells.size() && WallPct <= 25.0;
+    bool Pass = Ok == Cells.size();
     RunRecord V;
     V.param("series", "summary");
     V.metric("cells_ok", Ok);

@@ -27,7 +27,6 @@ namespace exp {
 void registerAccuracyExperiments(); // ExperimentsAccuracy.cpp
 void registerSampleExperiments();   // ExperimentsSample.cpp
 void registerPgoExperiments();      // ExperimentsPgo.cpp
-void registerSvcExperiments();      // ExperimentsSvc.cpp
 
 namespace {
 
@@ -550,7 +549,6 @@ void registerAllExperiments() {
   registerAccuracyExperiments();
   registerSampleExperiments();
   registerPgoExperiments();
-  registerSvcExperiments();
 
   ExperimentRegistry &R = ExperimentRegistry::instance();
   R.add("fig02",

@@ -79,15 +79,8 @@ bool bor::exp::writeManifest(const std::string &Dir, const ManifestInfo &Info,
   Config.fieldRaw("ckpt_library", Info.CkptLibrary ? "true" : "false");
   Config.fieldRaw("ckpt_regions",
                   jsonNumber(static_cast<uint64_t>(Info.CkptRegions)));
-  if (Info.Serve) {
-    Config.fieldRaw("serve", "true");
-    Config.fieldRaw("spawn_workers",
-                    jsonNumber(static_cast<uint64_t>(Info.SpawnWorkers)));
-  }
-  if (Info.CellsLost || Info.CellsTimedOut) {
+  if (Info.CellsTimedOut) {
     Config.fieldRaw("partial", "true");
-    Config.fieldRaw("cells_lost",
-                    jsonNumber(static_cast<uint64_t>(Info.CellsLost)));
     Config.fieldRaw("cells_timedout",
                     jsonNumber(static_cast<uint64_t>(Info.CellsTimedOut)));
   }

@@ -49,15 +49,8 @@ struct ManifestInfo {
   bool CkptLibrary = false;
   unsigned CkptRegions = 0;
 
-  /// Distributed-sweep provenance (emitted only when Serve is true, so
-  /// manifests from plain runs are byte-identical to before the service
-  /// existed).
-  bool Serve = false;
-  unsigned SpawnWorkers = 0;
-
   /// Degradation accounting, summed over the run's experiments; emitted
-  /// only when the run was partial (any cell lost or timed out).
-  size_t CellsLost = 0;
+  /// only when the run was partial (any cell timed out).
   size_t CellsTimedOut = 0;
 
   std::vector<std::string> Experiments;

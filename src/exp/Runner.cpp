@@ -7,13 +7,19 @@
 #include "exp/Runner.h"
 
 #include "exp/Json.h"
+#include "exp/ThreadPool.h"
 #include "telemetry/Counters.h"
 #include "telemetry/Telemetry.h"
 
+#include <atomic>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <mutex>
+#include <thread>
 
 namespace bor {
 namespace exp {
@@ -47,8 +53,7 @@ public:
                    Name.c_str(), Done, Total, Elapsed, Eta);
       return;
     }
-    // Jsonl: one self-contained object per tick, consumable line by line
-    // (the future service mode streams exactly this to clients).
+    // Jsonl: one self-contained object per tick, consumable line by line.
     JsonObjectWriter W;
     W.field("experiment", Name);
     W.fieldRaw("cells_done", jsonNumber(static_cast<uint64_t>(Done)));
@@ -74,26 +79,107 @@ private:
   size_t Done = 0;
 };
 
-/// The explicit stand-in record for a cell that never produced a result:
-/// its grid coordinates survive (so rows still line up downstream), and
-/// cell_status/attempts say what happened instead of metrics.
-RunRecord makeMarkerRecord(const ExperimentSpec &Spec, size_t Index,
-                           const CellOutcome &Outcome) {
+/// Shared state between a timed cell and its abandonable thread. The
+/// thread owns a reference; once the waiter gives up, the thread's
+/// eventual result is dropped on the floor and the state dies with the
+/// thread.
+struct TimedAttempt {
+  std::mutex M;
+  std::condition_variable CV;
+  bool Done = false;
+  bool Abandoned = false;
+  RunRecord Record;
+};
+
+/// Runs \p Fn on a detached thread and waits up to \p TimeoutS seconds.
+/// Returns true (with \p Out filled) when the cell finished in time.
+bool runAbandonable(std::function<RunRecord()> Fn, double TimeoutS,
+                    RunRecord &Out) {
+  auto State = std::make_shared<TimedAttempt>();
+  std::thread([State, Fn = std::move(Fn)] {
+    RunRecord R = Fn();
+    std::lock_guard<std::mutex> Lock(State->M);
+    if (!State->Abandoned)
+      State->Record = std::move(R);
+    State->Done = true;
+    State->CV.notify_all();
+  }).detach();
+
+  std::unique_lock<std::mutex> Lock(State->M);
+  auto Deadline = std::chrono::steady_clock::now() +
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::duration<double>(TimeoutS));
+  if (State->CV.wait_until(Lock, Deadline,
+                           [&State] { return State->Done; })) {
+    Out = std::move(State->Record);
+    return true;
+  }
+  State->Abandoned = true;
+  return false;
+}
+
+/// The explicit stand-in record for a cell that overran the timeout: its
+/// grid coordinates survive (so rows still line up downstream), and
+/// cell_status says what happened instead of metrics.
+RunRecord makeTimeoutRecord(const ExperimentSpec &Spec, size_t Index) {
   RunRecord R;
   R.Params = Spec.Cells[Index];
-  R.metric("cell_status", std::string(Outcome.S == CellOutcome::State::TimedOut
-                                          ? "timeout"
-                                          : "lost"));
-  R.metric("attempts", static_cast<uint64_t>(Outcome.Attempts));
+  R.metric("cell_status", std::string("timeout"));
   return R;
+}
+
+/// Runs every cell of \p Spec on \p Threads workers, filling \p Results in
+/// spec order, and returns how many cells overran \p CellTimeoutS (when
+/// positive; see RunnerHooks::CellTimeoutS). \p RunCell is the
+/// observability-wrapped cell body used when there is no timeout.
+size_t runCells(const ExperimentSpec &Spec, unsigned Threads,
+                double CellTimeoutS,
+                const std::function<RunRecord(size_t)> &RunCell,
+                Heartbeat &HB, std::vector<RunRecord> &Results) {
+  std::atomic<size_t> TimedOut{0};
+  auto RunOne = [&](size_t I) {
+    if (CellTimeoutS <= 0) {
+      Results[I] = RunCell(I);
+    } else {
+      // Abandon-safe closure: copies of the run functor (whose captures
+      // are shared_ptr-owned) and the cell's parameters, so a timed-out
+      // thread never dangles into the runner's stack frame.
+      std::function<RunRecord()> Timed =
+          [Run = Spec.Run, Cell = Spec.Cells[I], I]() { return Run(Cell, I); };
+      if (!runAbandonable(std::move(Timed), CellTimeoutS, Results[I])) {
+        Results[I] = makeTimeoutRecord(Spec, I);
+        TimedOut.fetch_add(1, std::memory_order_relaxed);
+        if (telemetry::CounterRegistry::enabled()) {
+          static const telemetry::Counter Counter("exp.cells.timedout");
+          Counter.add();
+        }
+      }
+    }
+    HB.cellDone();
+  };
+
+  // Multi-cell grids always go through the pool — even with one worker —
+  // so the pool's telemetry counters depend only on the grid, never on
+  // the --threads value, keeping counter snapshots thread-count-invariant
+  // just like the result records.
+  const size_t N = Spec.Cells.size();
+  if (N <= 1) {
+    for (size_t I = 0; I != N; ++I)
+      RunOne(I);
+  } else {
+    ThreadPool Pool(Threads);
+    for (size_t I = 0; I != N; ++I)
+      Pool.submit([&RunOne, I] { RunOne(I); });
+    Pool.wait();
+  }
+  return TimedOut.load();
 }
 
 } // namespace
 
-GridResult runExperimentWith(const ExperimentSpec &Spec,
-                             CellExecutor &Executor,
-                             const std::vector<ResultSink *> &Sinks,
-                             const RunnerHooks &Hooks) {
+GridResult runExperiment(const ExperimentSpec &Spec, unsigned Threads,
+                         const std::vector<ResultSink *> &Sinks,
+                         const RunnerHooks &Hooks) {
   assert(Spec.Run && "experiment has no run functor");
   telemetry::TraceWriter *TW =
       Hooks.Telemetry ? Hooks.Telemetry->Trace : nullptr;
@@ -128,43 +214,28 @@ GridResult runExperimentWith(const ExperimentSpec &Spec,
     Span.close();
     return R;
   };
-  auto OnCellDone = [&HB](size_t) { HB.cellDone(); };
 
   GridResult Out;
   Out.Records.resize(Spec.Cells.size());
-  Out.Outcomes = Executor.execute(Spec, Out.Records, RunCell, OnCellDone);
-  assert(Out.Outcomes.size() == Spec.Cells.size() &&
-         "executor must report one outcome per cell");
-
-  for (size_t I = 0; I != Out.Outcomes.size(); ++I) {
-    const CellOutcome &O = Out.Outcomes[I];
-    if (O.S == CellOutcome::State::Done)
-      continue;
-    Out.Partial = true;
-    if (O.S == CellOutcome::State::TimedOut)
-      ++Out.CellsTimedOut;
-    else
-      ++Out.CellsLost;
-    Out.Records[I] = makeMarkerRecord(Spec, I, O);
-  }
+  Out.CellsTimedOut = runCells(Spec, Threads, Hooks.CellTimeoutS, RunCell,
+                               HB, Out.Records);
 
   // A summary over an incomplete grid would average holes into lies;
   // partial runs ship the per-cell truth (markers included) and nothing
   // derived.
   std::vector<RunRecord> Summaries;
-  if (Spec.Summarize && !Out.Partial) {
+  if (Spec.Summarize && !Out.partial()) {
     telemetry::TraceSpan Span(TW, "summarize", "experiment",
                               {telemetry::TraceArg::str("experiment",
                                                         Spec.Name)});
     telemetry::TimeSeries::Scope Tag(Spec.Name,
                                      telemetry::TimeSeries::kSummarizeCell);
     Summaries = Spec.Summarize(Out.Records);
-  } else if (Spec.Summarize && Out.Partial) {
+  } else if (Spec.Summarize) {
     std::fprintf(stderr,
-                 "[bor-bench] %s: %zu/%zu cells missing "
-                 "(%zu timed out, %zu lost); skipping summary stage\n",
-                 Spec.Name.c_str(), Out.CellsTimedOut + Out.CellsLost,
-                 Spec.Cells.size(), Out.CellsTimedOut, Out.CellsLost);
+                 "[bor-bench] %s: %zu/%zu cells timed out; skipping summary "
+                 "stage\n",
+                 Spec.Name.c_str(), Out.CellsTimedOut, Spec.Cells.size());
   }
 
   for (ResultSink *Sink : Sinks)
@@ -179,14 +250,6 @@ GridResult runExperimentWith(const ExperimentSpec &Spec,
     Sink->end();
 
   return Out;
-}
-
-std::vector<RunRecord> runExperiment(const ExperimentSpec &Spec,
-                                     unsigned Threads,
-                                     const std::vector<ResultSink *> &Sinks,
-                                     const RunnerHooks &Hooks) {
-  LocalExecutor Executor(Threads);
-  return runExperimentWith(Spec, Executor, Sinks, Hooks).Records;
 }
 
 } // namespace exp

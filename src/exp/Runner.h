@@ -12,14 +12,14 @@
 /// written) are byte-identical for any thread count: parallelism is pure
 /// mechanism, never policy. Optional RunnerHooks add observability — a
 /// trace span per stage and cell, and a periodic progress heartbeat on
-/// stderr — without touching the measurement path.
+/// stderr — without touching the measurement path, plus an optional
+/// per-cell wall-clock budget.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BOR_EXP_RUNNER_H
 #define BOR_EXP_RUNNER_H
 
-#include "exp/CellExecutor.h"
 #include "exp/Experiment.h"
 #include "exp/ResultSink.h"
 
@@ -33,7 +33,7 @@ enum class ProgressMode {
   Jsonl ///< one JSON object per tick (machine-readable heartbeat)
 };
 
-/// Observability knobs for one runExperiment call.
+/// Per-call knobs for one runExperiment call.
 struct RunnerHooks {
   /// Emits spans for Setup, every cell, and Summarize when non-null (with
   /// a non-null Trace), and tags per-interval time series per cell (with
@@ -45,37 +45,35 @@ struct RunnerHooks {
   /// a TTY so piped output stays clean; Jsonl is the machine-readable
   /// heartbeat (--progress jsonl / BOR_HEARTBEAT=json).
   ProgressMode Progress = ProgressMode::Off;
+
+  /// Per-cell wall-clock budget in seconds (--cell-timeout); 0 = none.
+  /// With a budget every cell runs on an abandonable thread: a cell that
+  /// exceeds it is marked timed out and the grid moves on. The abandoned
+  /// computation cannot be interrupted — it keeps running detached (its
+  /// result is discarded) until it finishes or the process exits. To keep
+  /// that safe, timed cells run a value-captured copy of the spec's run
+  /// functor without the trace/time-series wrapping, so an abandoned cell
+  /// never touches telemetry buffers the caller may since have finalized.
+  double CellTimeoutS = 0;
 };
 
-/// Everything one grid run produced. Partial turns true when any cell
-/// did not complete (timed out locally, or lost after the service's
-/// retry budget); those cells' records are explicit markers (the cell's
-/// params plus cell_status/attempts metrics) and the summary stage is
-/// skipped, since summaries over an incomplete grid would silently lie.
+/// Everything one grid run produced. A cell that timed out is recorded as
+/// an explicit marker (the cell's params plus cell_status "timeout"), and
+/// the summary stage is skipped, since summaries over an incomplete grid
+/// would silently lie.
 struct GridResult {
   std::vector<RunRecord> Records; ///< per-cell, spec order
-  std::vector<CellOutcome> Outcomes;
-  bool Partial = false;
   size_t CellsTimedOut = 0;
-  size_t CellsLost = 0;
-};
 
-/// Runs \p Spec's cells on \p Executor and feeds every record to each of
-/// \p Sinks in deterministic spec order — the backend-agnostic core the
-/// local and distributed drivers share.
-GridResult runExperimentWith(const ExperimentSpec &Spec,
-                             CellExecutor &Executor,
-                             const std::vector<ResultSink *> &Sinks,
-                             const RunnerHooks &Hooks = RunnerHooks());
+  bool partial() const { return CellsTimedOut != 0; }
+};
 
 /// Runs \p Spec with \p Threads in-process workers and feeds every record
 /// to each of \p Sinks in deterministic spec order. Returns the per-cell
-/// records (without the summary records). Convenience wrapper over
-/// runExperimentWith + LocalExecutor.
-std::vector<RunRecord> runExperiment(const ExperimentSpec &Spec,
-                                     unsigned Threads,
-                                     const std::vector<ResultSink *> &Sinks,
-                                     const RunnerHooks &Hooks = RunnerHooks());
+/// records (without the summary records) and the timed-out cell count.
+GridResult runExperiment(const ExperimentSpec &Spec, unsigned Threads,
+                         const std::vector<ResultSink *> &Sinks,
+                         const RunnerHooks &Hooks = RunnerHooks());
 
 } // namespace exp
 } // namespace bor

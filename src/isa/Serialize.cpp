@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 using namespace bor;
 
@@ -14,7 +15,6 @@ namespace {
 constexpr char Magic[4] = {'B', 'O', 'R', 'B'};
 constexpr uint32_t VersionNoSections = 1;
 constexpr uint32_t VersionWithSections = 2;
-constexpr uint64_t MaxSectionBytes = 1ULL << 32; ///< corruption guard
 
 void putU32(std::vector<uint8_t> &Out, uint32_t V) {
   for (int I = 0; I != 4; ++I)
@@ -47,6 +47,7 @@ public:
   }
 
   bool atEnd() const { return Pos == Bytes.size(); }
+  size_t remaining() const { return Bytes.size() - Pos; }
 
 private:
   uint64_t uint(unsigned N) {
@@ -77,8 +78,7 @@ LoadResult fail(const std::string &Message) {
 std::vector<uint8_t>
 bor::serializeProgram(const Program &P,
                       const std::vector<ContainerSection> &Sections) {
-  std::vector<uint8_t> Out;
-  Out.insert(Out.end(), Magic, Magic + 4);
+  std::vector<uint8_t> Out(std::begin(Magic), std::end(Magic));
   putU32(Out, Sections.empty() ? VersionNoSections : VersionWithSections);
   putU32(Out, static_cast<uint32_t>(P.numInsts()));
   putU64(Out, P.dataBase());
@@ -122,6 +122,11 @@ LoadResult bor::deserializeProgram(const std::vector<uint8_t> &Bytes) {
   if (DataBase % 8 != 0)
     return fail("data base must be 8-byte aligned");
 
+  // Every length is bounded by the bytes actually present before anything
+  // is sized from it, so an inflated header fails cleanly instead of
+  // allocating (or throwing bad_alloc on) what it claims.
+  if (NumInsts > R.remaining() / 4)
+    return fail("bad instruction count");
   std::vector<Inst> Code;
   Code.reserve(NumInsts);
   for (uint32_t I = 0; I != NumInsts; ++I) {
@@ -133,6 +138,8 @@ LoadResult bor::deserializeProgram(const std::vector<uint8_t> &Bytes) {
     Code.push_back(decode(Word));
   }
 
+  if (DataSize > R.remaining())
+    return fail("bad data size");
   std::vector<uint8_t> Data(DataSize);
   if (DataSize != 0 && !R.bytes(Data.data(), DataSize))
     return fail("truncated data segment");
@@ -161,7 +168,7 @@ LoadResult bor::deserializeProgram(const std::vector<uint8_t> &Bytes) {
       if (!R.bytes(S.Tag.data(), 4))
         return fail("truncated section tag");
       uint64_t Size = R.u64();
-      if (R.failed() || Size > MaxSectionBytes)
+      if (R.failed() || Size > R.remaining())
         return fail("bad section size");
       S.Bytes.resize(Size);
       if (Size != 0 && !R.bytes(S.Bytes.data(), Size))

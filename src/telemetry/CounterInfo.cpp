@@ -63,7 +63,7 @@ const CounterInfo Table[] = {
     {"ckpt.pages.stored", "distinct pages stored in the PageStore"},
     {"ckpt.resumes", "checkpoint resumes (library fast-forward skips)"},
     {"exp.cells", "experiment grid cells executed"},
-    {"exp.cells.timedout", "cells abandoned at the local --cell-timeout"},
+    {"exp.cells.timedout", "cells abandoned at the --cell-timeout"},
     {"exp.experiments", "experiment grids executed"},
     {"exp.pool.pools", "ThreadPools constructed"},
     {"exp.pool.tasks", "tasks submitted to ThreadPools"},
@@ -130,19 +130,6 @@ const CounterInfo Table[] = {
     {"sample.insts.warmed", "functional-warming instructions executed"},
     {"sample.intervals", "detailed intervals measured"},
     {"sample.runs", "sampled runs completed"},
-    {"svc.cells.lost", "cells abandoned after exhausting the retry budget"},
-    {"svc.cells.timeout", "leases expired at the cell wall-clock timeout"},
-    {"svc.frames.recv", "protocol frames received from workers"},
-    {"svc.frames.sent", "protocol frames sent to workers"},
-    {"svc.heartbeats.missed", "leases expired at the heartbeat deadline"},
-    {"svc.heartbeats.recv", "heartbeat frames received from workers"},
-    {"svc.leases", "cell leases granted to workers"},
-    {"svc.requeues", "expired or orphaned leases returned to the queue"},
-    {"svc.results.stale", "results discarded for superseded or unknown jobs"},
-    {"svc.retries", "cells re-leased after a prior attempt failed"},
-    {"svc.workers.connected", "worker connections accepted"},
-    {"svc.workers.lost", "worker connections dropped before shutdown"},
-    {"svc.workers.spawned", "worker processes forked by the coordinator"},
 };
 
 } // namespace

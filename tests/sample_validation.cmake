@@ -1,14 +1,14 @@
 # Accuracy gate for the sampled-simulation subsystem: the sample_error
 # experiment compares sampled against full detailed runs on the Figure 13
 # grid and prints a PASS/FAIL verdict (every cell's IPC and brr-overhead
-# within the sampler's own 95% CI plus bias margin, sampled wall-clock
-# <= 25% of full). CI fails unless the verdict is PASS.
+# within the sampler's own 95% CI plus bias margin). The sampled
+# wall-clock share is reported but never decides the verdict, so the gate
+# does not depend on host speed. CI fails unless the verdict is PASS.
 #
 # --scale 10 keeps the full-pipeline reference runs affordable (50k chars,
 # ~1.5M insts per cell); --sample-period 50000 halves the default period so
 # every cell gets ~16 detailed intervals — enough that the CI is meaningful
-# on a stream this short — while keeping the sampled wall-clock well under
-# the 25% budget.
+# on a stream this short.
 #
 # Invoked by ctest with:
 #   -DBENCH=<bor-bench> -DWORKDIR=<scratch dir>

@@ -16,6 +16,7 @@
 #include "isa/Serialize.h"
 #include "sample/SampledRunner.h"
 #include "sim/Interpreter.h"
+#include "telemetry/Counters.h"
 #include "workloads/Microbench.h"
 
 #include <gtest/gtest.h>
@@ -708,5 +709,51 @@ TEST(LibraryPool, CorruptCacheFileIsRebuiltNotFatal) {
     EXPECT_TRUE(loadLibraryFile(Path, Cached, Lib, Error)) << Error;
     EXPECT_EQ(Lib.encode(), GoodBytes);
   }
+  std::remove(Path.c_str());
+}
+
+TEST(LibraryPool, InflatedCacheHeaderIsRebuiltNotFatal) {
+  MicrobenchProgram MB = brrProgram();
+  DecodedProgram DP(MB.Prog);
+  std::string Dir = testing::TempDir() + "ckpt_inflated_cache";
+
+  std::vector<uint8_t> GoodBytes;
+  {
+    LibraryPool Pool(Dir);
+    GoodBytes = Pool.getOrBuild(DP, BrrUnitConfig(), 20000)->encode();
+  }
+  std::string Path = LibraryPool(Dir).cachePathFor(
+      LibraryPool::keyFor(MB.Prog, BrrUnitConfig(), 20000));
+  ASSERT_FALSE(Path.empty());
+
+  // Inflate the BORB header's u64 data size (offset 20) to 2^62 and leave
+  // the rest of the file intact: the decoder must reject it, not try to
+  // allocate it.
+  {
+    std::FILE *F = std::fopen(Path.c_str(), "rb+");
+    ASSERT_NE(F, nullptr);
+    const uint8_t Huge[8] = {0, 0, 0, 0, 0, 0, 0, 0x40};
+    ASSERT_EQ(std::fseek(F, 20, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(Huge, 1, sizeof(Huge), F), sizeof(Huge));
+    ASSERT_EQ(std::fclose(F), 0);
+  }
+
+  telemetry::CounterRegistry &Registry = telemetry::CounterRegistry::instance();
+  telemetry::CounterRegistry::setEnabled(true);
+  Registry.reset();
+  {
+    LibraryPool Pool(Dir);
+    std::shared_ptr<const CheckpointLibrary> Lib =
+        Pool.getOrBuild(DP, BrrUnitConfig(), 20000);
+    ASSERT_NE(Lib, nullptr);
+    EXPECT_EQ(Lib->encode(), GoodBytes);
+  }
+  uint64_t Corrupt = 0;
+  const telemetry::CounterSnapshot Snapshot = Registry.snapshot();
+  for (const auto &[Name, Value] : Snapshot.Counters)
+    if (Name == "ckpt.libraries.corrupt")
+      Corrupt = Value;
+  telemetry::CounterRegistry::setEnabled(false);
+  EXPECT_EQ(Corrupt, 1u);
   std::remove(Path.c_str());
 }

@@ -2,11 +2,12 @@
 //
 // Covers the pieces of src/exp/ that the figure experiments themselves do
 // not exercise deterministically: JSON rendering, the thread pool, the
-// registry, and -- most importantly -- that the parallel runner produces
-// byte-identical output for any thread count.
+// registry, the --cell-timeout path, and -- most importantly -- that the
+// parallel runner produces byte-identical output for any thread count.
 //
 //===----------------------------------------------------------------------===//
 
+#include "exp/Driver.h"
 #include "exp/Experiment.h"
 #include "exp/Json.h"
 #include "exp/ResultSink.h"
@@ -20,8 +21,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace bor::exp;
 
@@ -231,7 +236,7 @@ std::string jsonOutput(const ExperimentSpec &Spec, unsigned Threads) {
 TEST(RunnerTest, ResultsArriveInSpecOrder) {
   ExperimentSpec S = makeScrambledSpec(8);
   std::vector<ResultSink *> NoSinks;
-  std::vector<RunRecord> Records = runExperiment(S, 4, NoSinks);
+  std::vector<RunRecord> Records = runExperiment(S, 4, NoSinks).Records;
   ASSERT_EQ(Records.size(), 8u);
   for (size_t I = 0; I != Records.size(); ++I) {
     EXPECT_EQ(*Records[I].findParam("cell"), std::to_string(I));
@@ -252,7 +257,7 @@ TEST(RunnerTest, SetupRunsBeforeAnyCell) {
     return R;
   };
   std::vector<ResultSink *> NoSinks;
-  for (const RunRecord &R : runExperiment(S, 2, NoSinks))
+  for (const RunRecord &R : runExperiment(S, 2, NoSinks).Records)
     EXPECT_EQ(R.findMetric("base")->U, 7u);
 }
 
@@ -328,6 +333,85 @@ TEST(TableSinkTest, RendersTitleColumnsAndNotes) {
   EXPECT_NE(Out.find("cell"), std::string::npos);
   EXPECT_NE(Out.find("third"), std::string::npos);
   EXPECT_NE(Out.find("probe notes line"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// --cell-timeout, end to end through the driver
+//===----------------------------------------------------------------------===//
+
+TEST(DriverTest, CellTimeoutMarksTheSlowCellAndSkipsTheSummary) {
+  // Cell 1 sleeps three times the 0.2 s budget. The abandoned cell keeps
+  // running detached, so it raises Finished and the test waits for that
+  // before returning.
+  auto Finished = std::make_shared<std::atomic<bool>>(false);
+  ExperimentRegistry::instance().add(
+      "timeout_probe", "cell 1 overruns --cell-timeout",
+      [Finished](const ExperimentOptions &) {
+        ExperimentSpec S;
+        S.Title = "timeout probe";
+        for (unsigned I = 0; I != 4; ++I)
+          S.Cells.push_back({{"cell", std::to_string(I)}});
+        S.Run = [Finished](const ParamSet &Cell, size_t Index) {
+          if (Index == 1) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(600));
+            Finished->store(true);
+          }
+          RunRecord R;
+          R.Params = Cell;
+          R.metric("index", static_cast<uint64_t>(Index));
+          return R;
+        };
+        S.Summarize = [](const std::vector<RunRecord> &) {
+          return std::vector<RunRecord>{RunRecord().param("cell", "sum")};
+        };
+        return S;
+      });
+
+  const std::string Path = testing::TempDir() + "timeout_probe.json";
+  std::vector<std::string> Args = {
+      "bor-bench", "--experiment", "timeout_probe", "--cell-timeout", "0.2",
+      "--threads", "2", "--no-table", "--json", Path};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  EXPECT_EQ(benchMain(static_cast<int>(Argv.size()), Argv.data()), 3);
+
+  std::vector<JsonValue> Cells;
+  size_t Summaries = 0;
+  std::ifstream In(Path);
+  for (std::string Line; std::getline(In, Line);) {
+    JsonValue V;
+    std::string Err;
+    ASSERT_TRUE(jsonParse(Line, V, Err)) << Err;
+    const JsonValue *Kind = V.find("kind");
+    ASSERT_NE(Kind, nullptr);
+    if (Kind->Str == "cell")
+      Cells.push_back(V);
+    Summaries += Kind->Str == "summary";
+  }
+  EXPECT_EQ(Summaries, 0u);
+  ASSERT_EQ(Cells.size(), 4u);
+  for (size_t I = 0; I != Cells.size(); ++I) {
+    EXPECT_EQ(Cells[I].find("params")->find("cell")->Str, std::to_string(I));
+    const JsonValue *Metrics = Cells[I].find("metrics");
+    ASSERT_NE(Metrics, nullptr);
+    const JsonValue *Status = Metrics->find("cell_status");
+    const JsonValue *Index = Metrics->find("index");
+    if (I == 1) {
+      ASSERT_NE(Status, nullptr);
+      EXPECT_EQ(Status->Str, "timeout");
+      EXPECT_EQ(Index, nullptr);
+    } else {
+      EXPECT_EQ(Status, nullptr) << "cell " << I;
+      ASSERT_NE(Index, nullptr);
+      EXPECT_EQ(Index->Num, static_cast<double>(I));
+    }
+  }
+
+  for (int Tick = 0; Tick != 500 && !Finished->load(); ++Tick)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_TRUE(Finished->load());
+  std::remove(Path.c_str());
 }
 
 } // namespace

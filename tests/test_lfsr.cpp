@@ -6,9 +6,24 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 using namespace bor;
+
+namespace bor {
+// gtest's fallback printer dumps a TapSet's raw bytes, std::string heap
+// pointer included, and CMake copies that dump into the ctest name of every
+// parameterized case below, so the names changed from one build to the
+// next. Print the polynomial exponents instead (the case name already
+// carries the catalog name).
+static void PrintTo(const TapSet &T, std::ostream *OS) {
+  *OS << "(";
+  for (size_t I = 0; I != T.PolyTaps.size(); ++I)
+    *OS << (I ? "," : "") << T.PolyTaps[I];
+  *OS << ")";
+}
+} // namespace bor
 
 // The paper's Figure 6: a 4-bit LFSR with the right two bits XORed cycles
 // through all 15 nonzero values. In polynomial notation those taps are

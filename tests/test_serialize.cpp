@@ -192,3 +192,37 @@ TEST(Serialize, RejectsTruncatedSections) {
   BadSize[BadSize.size() - 4 - 8] = 0xff; // low byte of the u64 size
   EXPECT_FALSE(deserializeProgram(BadSize).Ok);
 }
+
+TEST(Serialize, RejectsInflatedLengthsBeforeAllocating) {
+  // Each image is a few dozen bytes whose header claims far more. The
+  // decoder must bound every length by the bytes actually present rather
+  // than allocate what the header says (or throw bad_alloc trying).
+  auto putU64At = [](std::vector<uint8_t> &Bytes, size_t At, uint64_t V) {
+    for (int I = 0; I != 8; ++I)
+      Bytes[At + I] = static_cast<uint8_t>(V >> (8 * I));
+  };
+  auto expectRejected = [](const std::vector<uint8_t> &Bytes,
+                           const std::string &What) {
+    LoadResult R = deserializeProgram(Bytes);
+    EXPECT_FALSE(R.Ok) << What;
+    EXPECT_NE(R.Error.find(What), std::string::npos) << R.Error;
+  };
+
+  // Header: magic, u32 version, u32 numInsts at offset 8, u64 dataBase,
+  // u64 dataSize at offset 20, u32 numSymbols.
+  std::vector<uint8_t> Insts = serializeProgram(Program());
+  std::fill(Insts.begin() + 8, Insts.begin() + 12, 0xff);
+  expectRejected(Insts, "instruction count");
+
+  std::vector<uint8_t> Data = serializeProgram(Program());
+  putU64At(Data, 20, 1ULL << 62);
+  expectRejected(Data, "data size");
+
+  // The section's u64 size sits just before its 4-byte payload.
+  ProgramBuilder B;
+  B.emit(Inst::halt());
+  std::vector<uint8_t> Section = serializeProgram(
+      B.finish(), {ContainerSection::make("CKPT", {1, 2, 3, 4})});
+  putU64At(Section, Section.size() - 4 - 8, 1ULL << 20);
+  expectRejected(Section, "section size");
+}
