@@ -18,16 +18,17 @@ BrrUnitDecider::~BrrUnitDecider() {
   Evals.add(Unit.evaluationCount());
 }
 
-Memory::Page &Memory::pageFor(uint64_t Addr) {
-  Slot &S = Pages[Addr / PageBytes];
-  if (S.Write)
-    return *S.Write;
-  return makeWritable(S);
+Memory::Page &Memory::lookupWrite(uint64_t Key) {
+  Slot &S = Pages[Key];
+  Page &P = S.Write ? *S.Write : makeWritable(Key, S);
+  WriteKey = Key;
+  WritePage = &P;
+  return P;
 }
 
 /// Slow path of the store pipeline: privatizes a COW-shared page (copying
 /// its bytes and dropping the share) or allocates a fresh zero page.
-Memory::Page &Memory::makeWritable(Slot &S) {
+Memory::Page &Memory::makeWritable(uint64_t Key, Slot &S) {
   S.Owned = std::make_unique<Page>();
   if (S.Shared) {
     *S.Owned = *S.Shared;
@@ -38,45 +39,19 @@ Memory::Page &Memory::makeWritable(Slot &S) {
   }
   S.Write = S.Owned.get();
   S.Read = S.Owned.get();
+  // Dropping the share may have freed the page the read cache points at.
+  if (ReadKey == Key)
+    ReadPage = S.Read;
   return *S.Owned;
 }
 
-const Memory::Page *Memory::pageForRead(uint64_t Addr) const {
-  auto It = Pages.find(Addr / PageBytes);
+const Memory::Page *Memory::lookupRead(uint64_t Key) const {
+  auto It = Pages.find(Key);
   if (It == Pages.end())
     return nullptr;
-  return It->second.Read;
-}
-
-uint8_t Memory::readU8(uint64_t Addr) const {
-  const Page *P = pageForRead(Addr);
-  if (!P)
-    return 0;
-  return (*P)[Addr % PageBytes];
-}
-
-void Memory::writeU8(uint64_t Addr, uint8_t Value) {
-  pageFor(Addr)[Addr % PageBytes] = Value;
-}
-
-uint64_t Memory::readU64(uint64_t Addr) const {
-  assert(Addr % 8 == 0 && "64-bit loads must be 8-byte aligned");
-  const Page *P = pageForRead(Addr);
-  if (!P)
-    return 0;
-  uint64_t Offset = Addr % PageBytes;
-  uint64_t Value = 0;
-  for (unsigned I = 0; I != 8; ++I)
-    Value |= static_cast<uint64_t>((*P)[Offset + I]) << (8 * I);
-  return Value;
-}
-
-void Memory::writeU64(uint64_t Addr, uint64_t Value) {
-  assert(Addr % 8 == 0 && "64-bit stores must be 8-byte aligned");
-  Page &P = pageFor(Addr);
-  uint64_t Offset = Addr % PageBytes;
-  for (unsigned I = 0; I != 8; ++I)
-    P[Offset + I] = static_cast<uint8_t>(Value >> (8 * I));
+  ReadKey = Key;
+  ReadPage = It->second.Read;
+  return ReadPage;
 }
 
 void Memory::forEachPage(
@@ -93,6 +68,7 @@ void Memory::forEachPage(
 
 void Memory::restorePage(uint64_t Base, const uint8_t *Data) {
   assert(Base % PageBytes == 0 && "page base must be page-aligned");
+  dropPageCache();
   // Whole-page overwrite: bypass the COW copy (its bytes would be
   // clobbered immediately) by installing a fresh owned page directly.
   Slot &S = Pages[Base / PageBytes];
@@ -108,6 +84,7 @@ void Memory::restorePage(uint64_t Base, const uint8_t *Data) {
 void Memory::attachShared(uint64_t Base, PageRef P) {
   assert(Base % PageBytes == 0 && "page base must be page-aligned");
   assert(P && "attaching a null shared page");
+  dropPageCache();
   Slot &S = Pages[Base / PageBytes];
   S.Owned.reset();
   S.Write = nullptr;

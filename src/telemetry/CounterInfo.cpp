@@ -114,6 +114,10 @@ const CounterInfo Table[] = {
     {"pipeline.indirect_branches", "indirect branches retired"},
     {"pipeline.indirect_mispredicts", "indirect branch target mispredicts"},
     {"pipeline.insts", "instructions retired by the detailed pipeline"},
+    {"pipeline.issue.window_grows",
+     "issue-window ring doublings (two reachable cycles shared a slot)"},
+    {"pipeline.issue.window_slots",
+     "issue-window ring size in slots at the end of each pipeline run", true},
     {"pipeline.runs", "detailed pipeline runs (dtor publications)"},
     {"pipeline.run.cycles", "cycles simulated per pipeline run", true},
     {"pipeline.run.insts", "instructions retired per pipeline run", true},

@@ -74,7 +74,7 @@ Pipeline::Pipeline(const DecodedProgram &DP, const PipelineConfig &Config,
       Oracle(DP, Mach, Decider ? *Decider : *OwnedDecider),
       Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
       DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
-      RobSlotFree(Config.RobEntries, 0) {
+      IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
   RegReady.fill(0); // the Oracle's constructor loads the program image
 }
 
@@ -89,7 +89,7 @@ Pipeline::Pipeline(const Program &P, const PipelineConfig &Config,
       Oracle(Dec, Mach, Decider ? *Decider : *OwnedDecider),
       Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
       DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
-      RobSlotFree(Config.RobEntries, 0) {
+      IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
   RegReady.fill(0); // the Oracle's constructor loads the program image
 }
 
@@ -100,7 +100,7 @@ Pipeline::Pipeline(const DecodedProgram &DP, Machine &M,
       Oracle(DP, Mach, Decider, /*LoadImage=*/false),
       Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
       DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
-      RobSlotFree(Config.RobEntries, 0) {
+      IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
   RegReady.fill(0);
 }
 
@@ -111,7 +111,7 @@ Pipeline::Pipeline(const Program &P, Machine &M, MicroarchState &Uarch,
       Oracle(Dec, Mach, Decider, /*LoadImage=*/false),
       Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
       DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
-      RobSlotFree(Config.RobEntries, 0) {
+      IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
   RegReady.fill(0);
 }
 
@@ -141,6 +141,9 @@ Pipeline::~Pipeline() {
       "pipeline.fetch.full_width_cycles");
   static const telemetry::HistogramCounter RunInsts("pipeline.run.insts");
   static const telemetry::HistogramCounter RunCycles("pipeline.run.cycles");
+  static const telemetry::Counter WindowGrows("pipeline.issue.window_grows");
+  static const telemetry::HistogramCounter WindowSlots(
+      "pipeline.issue.window_slots");
   Runs.add();
   Cycles.add(Stats.Cycles);
   Insts.add(Stats.Insts);
@@ -158,6 +161,8 @@ Pipeline::~Pipeline() {
   FullWidth.add(Stats.FullWidthFetchCycles);
   RunInsts.observe(Stats.Insts);
   RunCycles.observe(Stats.Cycles);
+  WindowGrows.add(IssueSlots.grows());
+  WindowSlots.observe(IssueSlots.slots());
   // Attached runs borrow the sampled runner's structures; publishing them
   // here would double-count across intervals.
   if (OwnedUarch)
@@ -204,23 +209,11 @@ uint64_t Pipeline::fetchInstruction(const ExecRecord &R) {
   return FetchCycle;
 }
 
-uint64_t Pipeline::placeIssue(uint64_t Earliest) {
-  uint64_t C = Earliest;
-  for (;;) {
-    unsigned &Used = IssueCount[C];
-    if (Used < Config.IssueWidth) {
-      ++Used;
-      break;
-    }
-    ++C;
-  }
+uint64_t Pipeline::placeIssue(uint64_t Earliest, uint64_t Floor) {
+  uint64_t C = IssueSlots.place(Earliest, Floor);
   if ((Stats.Insts & 0x3fff) == 0 && LastCommitCycle > 1024)
-    trimIssueWindow(LastCommitCycle - 1024);
+    IssueSlots.trim(LastCommitCycle - 1024);
   return C;
-}
-
-void Pipeline::trimIssueWindow(uint64_t Frontier) {
-  IssueCount.erase(IssueCount.begin(), IssueCount.lower_bound(Frontier));
 }
 
 uint64_t Pipeline::completeExecution(const ExecRecord &R, uint64_t Issue) {
@@ -331,7 +324,9 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
       for (unsigned S = 0; S != NumSrcs; ++S)
         Earliest = std::max(Earliest, RegReady[Srcs[S]]);
 
-      Issue = placeIssue(Earliest);
+      // Dispatch is in order, so no later instruction can ask to issue
+      // before this one's dispatch-to-issue cycle: the window's floor.
+      Issue = placeIssue(Earliest, Disp + Config.DispatchToIssue);
       Done = completeExecution(R, Issue);
       if (R.I.writesReg())
         RegReady[R.I.Rd] = Done;

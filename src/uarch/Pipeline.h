@@ -39,12 +39,12 @@
 
 #include "sim/Interpreter.h"
 #include "uarch/BranchPolicy.h"
+#include "uarch/IssueWindow.h"
 #include "uarch/MicroarchState.h"
 #include "uarch/PipelineConfig.h"
 #include "uarch/ReturnAddressStack.h"
 
 #include <cassert>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -169,7 +169,8 @@ public:
            const PipelineConfig &Config, BrrDecider &Decider);
 
   /// Publishes the run's aggregate statistics to the telemetry counter
-  /// registry (pipeline.*), plus the owned microarchitectural structures'
+  /// registry (pipeline.*, including the issue window's size and growth),
+  /// plus the owned microarchitectural structures'
   /// stats in the cold-run form (an attached run's structures belong to
   /// the sampled runner, which publishes them once at the end).
   ~Pipeline();
@@ -222,8 +223,7 @@ private:
   };
 
   uint64_t fetchInstruction(const ExecRecord &R);
-  uint64_t placeIssue(uint64_t Earliest);
-  void trimIssueWindow(uint64_t Frontier);
+  uint64_t placeIssue(uint64_t Earliest, uint64_t Floor);
   /// Completion cycle of \p R when it issues at \p Issue, including cache
   /// latencies and store-to-load forwarding constraints.
   uint64_t completeExecution(const ExecRecord &R, uint64_t Issue);
@@ -266,7 +266,7 @@ private:
   /// same address cannot complete before this (this is what serializes a
   /// counter-based framework's load/decrement/store chain across sites).
   std::unordered_map<uint64_t, uint64_t> StoreReady;
-  std::map<uint64_t, unsigned> IssueCount; ///< OoO issue-width tracking.
+  IssueWindow IssueSlots; ///< OoO issue-width tracking.
   std::vector<uint64_t> RobSlotFree; ///< commit cycle per ROB slot (ring).
   uint64_t RobAllocated = 0;
   uint64_t LastCommitCycle = 0;

@@ -179,19 +179,82 @@ TEST(Checkpoint, RejectsDeciderKindMismatch) {
   EXPECT_NE(Err.find("lfsr"), std::string::npos);
 }
 
-TEST(Checkpoint, RejectsCorruptPayloads) {
+namespace {
+
+/// A checkpoint of three distinct data pages, every register and a
+/// stepped LFSR: the corruption sweeps' subject.
+MachineCheckpoint multiPageCheckpoint() {
   Machine M;
+  for (uint64_t Base : {0x0ULL, 0x3000ULL, 0x40000ULL})
+    for (uint64_t Off = 0; Off < Memory::pageBytes(); Off += 8)
+      M.memory().writeU64(Base + Off, (Base + Off) * 0x9e3779b97f4a7c15ULL);
+  for (unsigned R = 1; R != 32; ++R)
+    M.writeReg(R, R * 0x0101010101010101ULL);
+  M.setPc(0x40);
   BrrUnitDecider D;
-  MachineCheckpoint C = captureCheckpoint(M, D, 0);
+  for (int I = 0; I != 100; ++I)
+    (void)D.decide(FreqCode(2));
+  return captureCheckpoint(M, D, 1234);
+}
+
+/// Restores \p C into \p M, whose page caches still hold a page of an
+/// earlier restore, and reads every restored page back through them (one
+/// word per 256 bytes, to keep the sweep fast). Returns the number of
+/// words that read back wrong.
+uint64_t restoreAndReadBack(const MachineCheckpoint &C, Machine &M) {
+  (void)M.memory().readU64(0);
+  BrrUnitDecider D;
+  std::string Err;
+  if (!restoreCheckpoint(C, M, D, Err))
+    return 0;
+  // A corrupt base can repeat; the last restore of a page wins.
+  std::map<uint64_t, const std::vector<uint8_t> *> Last;
+  for (const MachineCheckpoint::Page &P : C.Pages)
+    Last[P.Base] = &P.Data;
+  uint64_t Wrong = 0;
+  for (const auto &[Base, Data] : Last)
+    for (uint64_t Off = 0; Off < Memory::pageBytes(); Off += 256) {
+      uint64_t Want = 0;
+      for (unsigned I = 0; I != 8; ++I)
+        Want |= static_cast<uint64_t>((*Data)[Off + I]) << (8 * I);
+      Wrong += M.memory().readU64(Base + Off) != Want;
+    }
+  return Wrong;
+}
+
+} // namespace
+
+TEST(Checkpoint, RejectsCorruptPayloads) {
+  MachineCheckpoint C = multiPageCheckpoint();
+  ASSERT_EQ(C.Pages.size(), 3u);
   std::vector<uint8_t> Bytes = encodeCheckpoint(C);
 
   MachineCheckpoint Out;
   std::string Err;
   // Truncation anywhere must fail cleanly, never crash.
-  for (size_t Keep : {size_t(0), size_t(3), size_t(10), Bytes.size() - 1}) {
+  for (size_t Keep = 0; Keep != Bytes.size(); ++Keep) {
     std::vector<uint8_t> Cut(Bytes.begin(), Bytes.begin() + Keep);
     EXPECT_FALSE(decodeCheckpoint(Cut, Out, Err)) << "kept " << Keep;
   }
+  // Every single-bit flip either fails with an error or decodes to a
+  // checkpoint that restores and reads back. One machine takes every
+  // restore, so its caches always hold a page of the previous one.
+  Machine M;
+  uint64_t Decoded = 0, Wrong = 0;
+  for (size_t I = 0; I != Bytes.size(); ++I)
+    for (unsigned Bit = 0; Bit != 8; ++Bit) {
+      Bytes[I] ^= static_cast<uint8_t>(1u << Bit);
+      Err.clear();
+      if (decodeCheckpoint(Bytes, Out, Err)) {
+        ++Decoded;
+        Wrong += restoreAndReadBack(Out, M);
+      } else {
+        EXPECT_FALSE(Err.empty()) << "byte " << I << " bit " << Bit;
+      }
+      Bytes[I] ^= static_cast<uint8_t>(1u << Bit);
+    }
+  EXPECT_GT(Decoded, 0u); // flips inside page data decode fine
+  EXPECT_EQ(Wrong, 0u);
   // Trailing garbage is rejected too.
   std::vector<uint8_t> Long = Bytes;
   Long.push_back(0);

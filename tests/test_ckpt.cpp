@@ -434,18 +434,68 @@ TEST(CheckpointLibrary, EncodeDecodeRoundTrips) {
   expectSameArchState(MA, MB2);
 }
 
+namespace {
+
+/// Resumes every checkpoint of \p Lib into \p M, whose page caches still
+/// hold a page of an earlier resume, and reads every attached page back
+/// through them (one word per 256 bytes, to keep the sweep fast).
+/// Returns the number of words that read back wrong.
+uint64_t resumeAndReadBack(const CheckpointLibrary &Lib, Machine &M) {
+  uint64_t Wrong = 0;
+  for (const LibraryCheckpoint &C : Lib.checkpoints()) {
+    if (!C.Pages.empty())
+      (void)M.memory().readU64(C.Pages.front().first);
+    BrrUnitDecider D;
+    std::string Err;
+    if (!Lib.resume(C, M, D, Err))
+      continue;
+    for (const auto &[Base, P] : C.Pages)
+      for (uint64_t Off = 0; Off < Memory::pageBytes(); Off += 256) {
+        uint64_t Want = 0;
+        for (unsigned I = 0; I != 8; ++I)
+          Want |= static_cast<uint64_t>((*P)[Off + I]) << (8 * I);
+        Wrong += M.memory().readU64(Base + Off) != Want;
+      }
+  }
+  return Wrong;
+}
+
+} // namespace
+
 TEST(CheckpointLibrary, RejectsCorruptPayloads) {
   MicrobenchProgram MB = brrProgram(500);
   DecodedProgram DP(MB.Prog);
-  CheckpointLibrary Lib = buildLibrary(DP);
+  CheckpointLibrary Lib = buildLibrary(DP, 5000);
+  ASSERT_GE(Lib.numStoredPages(), 3u);
+  ASSERT_GE(Lib.numCheckpoints(), 3u);
   std::vector<uint8_t> Bytes = Lib.encode();
 
   CheckpointLibrary Out;
   std::string Err;
-  for (size_t Keep : {size_t(0), size_t(3), size_t(40), Bytes.size() - 1}) {
+  // Truncation anywhere must fail cleanly, never crash.
+  for (size_t Keep = 0; Keep != Bytes.size(); ++Keep) {
     std::vector<uint8_t> Cut(Bytes.begin(), Bytes.begin() + Keep);
     EXPECT_FALSE(CheckpointLibrary::decode(Cut, Out, Err)) << "kept " << Keep;
   }
+  // Every single-bit flip either fails with an error or decodes to a
+  // library whose checkpoints resume and read back. One machine takes
+  // every resume, so its caches always hold a page of the previous one.
+  Machine M;
+  uint64_t Decoded = 0, Wrong = 0;
+  for (size_t I = 0; I != Bytes.size(); ++I)
+    for (unsigned Bit = 0; Bit != 8; ++Bit) {
+      Bytes[I] ^= static_cast<uint8_t>(1u << Bit);
+      Err.clear();
+      if (CheckpointLibrary::decode(Bytes, Out, Err)) {
+        ++Decoded;
+        Wrong += resumeAndReadBack(Out, M);
+      } else {
+        EXPECT_FALSE(Err.empty()) << "byte " << I << " bit " << Bit;
+      }
+      Bytes[I] ^= static_cast<uint8_t>(1u << Bit);
+    }
+  EXPECT_GT(Decoded, 0u); // flips inside page data decode fine
+  EXPECT_EQ(Wrong, 0u);
   std::vector<uint8_t> Long = Bytes;
   Long.push_back(0);
   EXPECT_FALSE(CheckpointLibrary::decode(Long, Out, Err));

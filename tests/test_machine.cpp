@@ -59,6 +59,114 @@ TEST(MemoryDeath, MisalignedU64Asserts) {
   EXPECT_DEATH((void)M.readU64(9), "aligned");
 }
 
+// The last-page caches must never serve a page the mapping no longer
+// holds. Each case first reads (and where relevant writes) the page so it
+// is cached, then changes the mapping under the cache.
+
+namespace {
+
+Memory::PageRef filledPage(uint8_t Byte) {
+  auto P = std::make_shared<Memory::Page>();
+  P->fill(Byte);
+  return P;
+}
+
+Program programWithWord(uint64_t Value, uint64_t &Addr) {
+  ProgramBuilder B;
+  Addr = B.allocData(8, 8);
+  B.initDataU64(Addr, Value);
+  B.emit(Inst::halt());
+  return B.finish();
+}
+
+} // namespace
+
+TEST(MemoryCache, PrivatizingWriteReadsNewBytesAndSiblingKeepsOld) {
+  Memory::PageRef Shared = filledPage(0x11);
+  Machine A, B;
+  A.memory().attachShared(0x4000, Shared);
+  B.memory().attachShared(0x4000, Shared);
+  EXPECT_EQ(A.memory().readU64(0x4008), 0x1111111111111111ULL);
+  EXPECT_EQ(B.memory().readU64(0x4008), 0x1111111111111111ULL);
+
+  A.memory().writeU64(0x4008, 0xfeedULL); // privatizes A's copy
+  EXPECT_EQ(A.memory().cowCounts().Copied, 1u);
+  EXPECT_EQ(A.memory().readU64(0x4008), 0xfeedULL);
+  EXPECT_EQ(A.memory().readU8(0x4000), 0x11); // rest of the copy intact
+  EXPECT_EQ(B.memory().readU64(0x4008), 0x1111111111111111ULL);
+  EXPECT_EQ((*Shared)[8], 0x11);
+
+  A.memory().writeU8(0x4010, 0x22); // the write cache holds the copy
+  EXPECT_EQ(A.memory().readU8(0x4010), 0x22);
+  EXPECT_EQ(B.memory().readU8(0x4010), 0x11);
+}
+
+TEST(MemoryCache, ResetReadsZeroAndWritesAllocateAfresh) {
+  Memory M;
+  M.writeU64(0x1000, 42);
+  EXPECT_EQ(M.readU64(0x1000), 42u);
+  M.reset();
+  EXPECT_EQ(M.readU64(0x1000), 0u);
+  EXPECT_EQ(M.numPages(), 0u);
+  M.writeU8(0x1001, 7); // must not land in the dropped page
+  EXPECT_EQ(M.numPages(), 1u);
+  EXPECT_EQ(M.readU64(0x1000), 0x700u);
+}
+
+TEST(MemoryCache, LoadProgramReadsTheNewImage) {
+  uint64_t AddrA = 0, AddrB = 0;
+  Program PA = programWithWord(0xaaaa, AddrA);
+  Program PB = programWithWord(0xbbbb, AddrB);
+  Program PZ = programWithWord(0, AddrB);
+  ASSERT_EQ(AddrA, AddrB);
+  Machine M;
+  M.loadProgram(PA);
+  EXPECT_EQ(M.memory().readU64(AddrA), 0xaaaaULL);
+  M.loadProgram(PB);
+  EXPECT_EQ(M.memory().readU64(AddrA), 0xbbbbULL);
+  M.loadProgram(PZ);
+  EXPECT_EQ(M.memory().readU64(AddrA), 0u);
+}
+
+TEST(MemoryCache, RestorePageOverCachedPageReadsNewContents) {
+  Memory M;
+  M.writeU64(0x2000, 1);
+  EXPECT_EQ(M.readU64(0x2000), 1u);
+  Memory::PageRef Fresh = filledPage(0x33);
+  M.restorePage(0x2000, Fresh->data());
+  EXPECT_EQ(M.readU64(0x2000), 0x3333333333333333ULL);
+
+  // Over a cached COW share, restore installs an owned page in its place.
+  M.attachShared(0x3000, filledPage(0x44));
+  EXPECT_EQ(M.readU8(0x3000), 0x44);
+  M.restorePage(0x3000, Fresh->data());
+  EXPECT_EQ(M.readU8(0x3000), 0x33);
+  M.writeU8(0x3000, 0x55);
+  EXPECT_EQ(M.readU8(0x3000), 0x55);
+  EXPECT_EQ(M.cowCounts().Copied, 0u);
+}
+
+TEST(MemoryCache, AttachSharedOverCachedPageReadsNewContents) {
+  Memory M;
+  M.writeU64(0x5000, 9); // owned page, now in both caches
+  EXPECT_EQ(M.readU64(0x5000), 9u);
+  Memory::PageRef Shared = filledPage(0x66);
+  M.attachShared(0x5000, Shared);
+  EXPECT_EQ(M.readU64(0x5000), 0x6666666666666666ULL);
+  // The dropped owned page must not take this store: it copies the share.
+  M.writeU8(0x5000, 0x77);
+  EXPECT_EQ(M.readU8(0x5000), 0x77);
+  EXPECT_EQ((*Shared)[0], 0x66);
+  EXPECT_EQ(M.cowCounts().Copied, 1u);
+}
+
+TEST(MemoryCache, UnmappedReadIsNotCachedPastTheFirstWrite) {
+  Memory M;
+  EXPECT_EQ(M.readU64(0x6000), 0u);
+  M.writeU64(0x6000, 5);
+  EXPECT_EQ(M.readU64(0x6000), 5u);
+}
+
 TEST(Machine, RegistersStartZero) {
   Machine M;
   for (unsigned R = 0; R != 32; ++R)
