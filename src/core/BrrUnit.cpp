@@ -4,8 +4,6 @@
 
 #include "lfsr/TapCatalog.h"
 
-#include <bit>
-
 using namespace bor;
 
 static Lfsr makeRegister(const BrrUnitConfig &Config) {
@@ -27,18 +25,6 @@ std::array<bool, FreqCode::NumValues> BrrUnit::andOutputs() const {
   for (unsigned Raw = 0; Raw != FreqCode::NumValues; ++Raw)
     Outputs[Raw] = (State & AndMasks[Raw]) == AndMasks[Raw];
   return Outputs;
-}
-
-bool BrrUnit::clockLfsr() {
-  ++Evaluations;
-  return Register.step();
-}
-
-bool BrrUnit::evaluate(FreqCode Freq) {
-  uint64_t Mask = AndMasks[Freq.raw()];
-  bool Taken = (Register.state() & Mask) == Mask;
-  clockLfsr();
-  return Taken;
 }
 
 DeterministicBrrUnit::DeterministicBrrUnit(const BrrUnitConfig &Config,

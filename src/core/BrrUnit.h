@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 namespace bor {
 
@@ -48,7 +49,12 @@ public:
   /// AND-gate output for the current LFSR state, then clocks the LFSR (the
   /// register only advances when a brr is decoded). Returns true if the
   /// branch is taken.
-  bool evaluate(FreqCode Freq);
+  bool evaluate(FreqCode Freq) {
+    uint64_t Mask = AndMasks[Freq.raw()];
+    bool Taken = (Register.state() & Mask) == Mask;
+    clockLfsr();
+    return Taken;
+  }
 
   /// All sixteen AND-gate outputs for the *current* LFSR state, as the
   /// hardware computes them in parallel before the mux; index = freq field.
@@ -77,7 +83,10 @@ public:
 protected:
   /// Advances the LFSR one tick, returning the shifted-out bit; the
   /// deterministic subclass records it for shift-back recovery.
-  bool clockLfsr();
+  bool clockLfsr() {
+    ++Evaluations;
+    return Register.step();
+  }
 
 private:
   BrrUnitConfig Config;

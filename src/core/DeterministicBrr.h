@@ -36,11 +36,10 @@ public:
   /// hardware counter, a single count register is shared by all sites; the
   /// interval is taken from the instruction being evaluated.
   bool evaluate(FreqCode Freq) {
+    // Intervals are powers of two, so the mask is the modulo.
     uint64_t Interval = Freq.expectedInterval();
     ++Count;
-    if (Count % Interval != 0)
-      return false;
-    return true;
+    return (Count & (Interval - 1)) == 0;
   }
 
   uint64_t evaluationCount() const { return Count; }

@@ -18,7 +18,9 @@
 #ifndef BOR_EXP_JSON_H
 #define BOR_EXP_JSON_H
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -86,6 +88,27 @@ struct JsonValue {
   /// absent.
   const JsonValue *find(std::string_view Key) const;
 };
+
+/// Reads a parsed JSON number as an integer of type T no smaller than
+/// \p Min. Returns false, leaving \p Out unchanged, unless \p V is a
+/// whole number in [Min, T's maximum]. The parser keeps numbers as doubles
+/// and strtod accepts "-1", "2.5", "1e300" and "1e400" (as infinity); a
+/// plain cast of any of them to an integer type truncates or is undefined
+/// behaviour.
+template <typename T>
+bool jsonToInteger(double V, T &Out, T Min = std::numeric_limits<T>::min()) {
+  // T spans [Lo, Hi), both exact powers of two; NaN fails the test.
+  const double Hi =
+      static_cast<double>(std::numeric_limits<T>::max() / 2 + 1) * 2.0;
+  const double Lo = std::numeric_limits<T>::is_signed ? -Hi : 0.0;
+  if (!(V >= Lo && V < Hi) || V != std::floor(V))
+    return false;
+  T I = static_cast<T>(V);
+  if (I < Min)
+    return false;
+  Out = I;
+  return true;
+}
 
 /// Parses \p Text (one complete JSON value, surrounding whitespace
 /// allowed) into \p Out. Returns false and sets \p Err to

@@ -11,9 +11,11 @@
 #include "support/Path.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
+#include <limits>
 
 using namespace bor;
 using namespace bor::exp;
@@ -154,9 +156,19 @@ std::string fieldString(const JsonValue &Obj, std::string_view Key) {
   return V && V->isString() ? V->Str : std::string();
 }
 
-double fieldNumber(const JsonValue &Obj, std::string_view Key) {
+/// Reads the integer field \p Key of \p Obj into \p Out, leaving \p Out
+/// alone when the field is absent or not a number. Fails, naming the
+/// field, on a number that is not an integer in [Min, T's maximum].
+template <typename T>
+bool fieldInteger(const JsonValue &Obj, std::string_view Key, T &Out,
+                  std::string &Err, T Min = 0) {
   const JsonValue *V = Obj.find(Key);
-  return V && V->isNumber() ? V->Num : 0.0;
+  if (!V || !V->isNumber() || jsonToInteger(V->Num, Out, Min))
+    return true;
+  Err = "field '" + std::string(Key) + "' is not an integer in [" +
+        std::to_string(Min) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "]";
+  return false;
 }
 
 bool parseResultLine(const JsonValue &Obj,
@@ -172,7 +184,8 @@ bool parseResultLine(const JsonValue &Obj,
     LoadedExperiment E;
     E.Name = Name;
     E.Title = fieldString(Obj, "title");
-    E.Cells = static_cast<uint64_t>(fieldNumber(Obj, "cells"));
+    if (!fieldInteger(Obj, "cells", E.Cells, Err))
+      return false;
     Out.push_back(std::move(E));
     return true;
   }
@@ -188,9 +201,8 @@ bool parseResultLine(const JsonValue &Obj,
     Err = "unknown record kind '" + Kind + "'";
     return false;
   }
-  if (const JsonValue *Cell = Obj.find("cell"))
-    if (Cell->isNumber())
-      R.Cell = static_cast<int64_t>(Cell->Num);
+  if (!fieldInteger(Obj, "cell", R.Cell, Err))
+    return false;
   if (const JsonValue *Params = Obj.find("params"))
     for (const auto &[K, V] : Params->Fields)
       R.Params.emplace_back(K, V.isString() ? V.Str : std::string());
@@ -233,9 +245,17 @@ bool loadCounters(const std::string &Path, LoadedRun &Out, std::string &Err) {
     return false;
   }
   if (const JsonValue *Counters = Root.find("counters"))
-    for (const auto &[K, V] : Counters->Fields)
-      if (V.isNumber())
-        Out.Counters.emplace_back(K, static_cast<uint64_t>(V.Num));
+    for (const auto &[K, V] : Counters->Fields) {
+      uint64_t Value = 0;
+      if (!V.isNumber())
+        continue;
+      if (!jsonToInteger(V.Num, Value)) {
+        Err = Path + ": counter '" + K + "' is not an integer in [0, " +
+              std::to_string(UINT64_MAX) + "]";
+        return false;
+      }
+      Out.Counters.emplace_back(K, Value);
+    }
   std::sort(Out.Counters.begin(), Out.Counters.end());
   return true;
 }
@@ -263,8 +283,12 @@ bool loadTimeSeries(const std::string &Path, LoadedRun &Out,
   for (const JsonValue &S : Series->Elems) {
     LoadedSeries L;
     L.Experiment = fieldString(S, "experiment");
-    L.Cell = static_cast<int64_t>(fieldNumber(S, "cell"));
-    L.Run = static_cast<uint64_t>(fieldNumber(S, "run"));
+    // Cell -1 is the set-up series (TimeSeries::kSetupCell).
+    if (!fieldInteger(S, "cell", L.Cell, Err, int64_t{-1}) ||
+        !fieldInteger(S, "run", L.Run, Err)) {
+      Err = Path + ": " + Err;
+      return false;
+    }
     L.Ipc = Column(S, "ipc");
     L.FlushFrac = Column(S, "flush_frac");
     L.BrrRate = Column(S, "brr_rate");
@@ -297,8 +321,11 @@ bool loadFromManifest(const std::string &Dir, const std::string &Path,
     Out.BuildType = fieldString(*Build, "build_type");
   }
   if (const JsonValue *Config = Root.find("config")) {
-    Out.Scale = static_cast<uint64_t>(fieldNumber(*Config, "scale"));
-    Out.Threads = static_cast<unsigned>(fieldNumber(*Config, "threads"));
+    if (!fieldInteger(*Config, "scale", Out.Scale, Err) ||
+        !fieldInteger(*Config, "threads", Out.Threads, Err)) {
+      Err = Path + ": config " + Err;
+      return false;
+    }
     const JsonValue *Sample = Config->find("sample");
     Out.Sample = Sample && Sample->isBool() && Sample->BoolVal;
   }

@@ -2,8 +2,6 @@
 
 #include "lfsr/Lfsr.h"
 
-#include <bit>
-
 using namespace bor;
 
 static uint64_t maskForWidth(unsigned Width) {
@@ -36,23 +34,11 @@ void Lfsr::seed(uint64_t S) {
   assert(State != 0 && "the all-zero LFSR state is absorbing");
 }
 
-bool Lfsr::feedbackBit() const {
-  return std::popcount(State & TapMask) & 1;
-}
-
-bool Lfsr::step() {
-  bool ShiftedOut = State & 1;
-  uint64_t Feedback = feedbackBit() ? 1ULL : 0ULL;
-  State = (State >> 1) | (Feedback << (Width - 1));
-  assert(State != 0 && "maximal LFSR can never reach the zero state");
-  return ShiftedOut;
-}
-
 void Lfsr::stepBack(bool ShiftedOutBit) {
   uint64_t FeedbackThatWasInserted = State >> (Width - 1);
   State = ((State << 1) | (ShiftedOutBit ? 1ULL : 0ULL)) & StateMask;
   assert(State != 0 && "shift-back produced the absorbing zero state");
-  assert(FeedbackThatWasInserted == (feedbackBit() ? 1ULL : 0ULL) &&
+  assert(FeedbackThatWasInserted == tapParity() &&
          "shifted-out bit inconsistent with the feedback that was inserted");
   (void)FeedbackThatWasInserted;
 }

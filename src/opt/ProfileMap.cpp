@@ -6,6 +6,8 @@
 #include "sim/Interpreter.h"
 #include "telemetry/Counters.h"
 
+#include <limits>
+
 using namespace bor;
 using namespace bor::opt;
 
@@ -61,6 +63,19 @@ std::string ProfileMap::toJson() const {
   return W.finish();
 }
 
+/// Reads field \p Name of block entry \p Entry into \p Out, which must
+/// hold it exactly.
+template <typename T>
+static bool readBlockField(const exp::JsonValue &V, size_t Entry,
+                           const char *Name, T &Out, std::string &Err) {
+  if (exp::jsonToInteger(V.Num, Out))
+    return true;
+  Err = "block entry " + std::to_string(Entry) + ": " + Name +
+        " is not an integer in [0, " +
+        std::to_string(std::numeric_limits<T>::max()) + "]";
+  return false;
+}
+
 bool ProfileMap::fromJson(const std::string &Text, ProfileMap &Out,
                           std::string &Err) {
   exp::JsonValue V;
@@ -77,7 +92,8 @@ bool ProfileMap::fromJson(const std::string &Text, ProfileMap &Out,
     return false;
   }
   ProfileMap P;
-  for (const exp::JsonValue &B : Blocks->Elems) {
+  for (size_t I = 0; I != Blocks->Elems.size(); ++I) {
+    const exp::JsonValue &B = Blocks->Elems[I];
     const exp::JsonValue *Id = B.find("id");
     const exp::JsonValue *Count = B.find("count");
     if (!Id || !Id->isNumber() || !Count || !Count->isNumber()) {
@@ -85,10 +101,14 @@ bool ProfileMap::fromJson(const std::string &Text, ProfileMap &Out,
       return false;
     }
     const exp::JsonValue *Taken = B.find("taken");
-    P.add(static_cast<cfg::BlockId>(Id->Num),
-          static_cast<uint64_t>(Count->Num),
-          Taken && Taken->isNumber() ? static_cast<uint64_t>(Taken->Num)
-                                     : 0);
+    cfg::BlockId BlockId = 0;
+    uint64_t Exec = 0, TakenCount = 0;
+    if (!readBlockField(*Id, I, "id", BlockId, Err) ||
+        !readBlockField(*Count, I, "count", Exec, Err) ||
+        (Taken && Taken->isNumber() &&
+         !readBlockField(*Taken, I, "taken", TakenCount, Err)))
+      return false;
+    P.add(BlockId, Exec, TakenCount);
   }
   const exp::JsonValue *Complete = V.find("complete");
   P.setComplete(Complete && Complete->isBool() && Complete->BoolVal);

@@ -38,7 +38,7 @@ public:
 
 /// Figure 1's software counter: decrement at every visit, sample (and
 /// reset) when it reaches zero. Fires exactly every Interval-th visit.
-class SwCounterPolicy : public SamplingPolicy {
+class SwCounterPolicy final : public SamplingPolicy {
 public:
   explicit SwCounterPolicy(uint64_t Interval)
       : Interval(Interval), Count(Interval - 1) {
@@ -63,7 +63,7 @@ private:
 
 /// Section 4.1's deterministic brr: a hardware counter taking every
 /// Interval-th branch. \p Phase shifts which visit within the period fires.
-class HwCounterPolicy : public SamplingPolicy {
+class HwCounterPolicy final : public SamplingPolicy {
 public:
   explicit HwCounterPolicy(uint64_t Interval, uint64_t Phase = 0)
       : Unit(Phase), Freq(FreqCode::forInterval(Interval)) {}
@@ -78,7 +78,7 @@ private:
 };
 
 /// The LFSR-driven branch-on-random.
-class BrrPolicy : public SamplingPolicy {
+class BrrPolicy final : public SamplingPolicy {
 public:
   BrrPolicy(uint64_t Interval, const BrrUnitConfig &Config = BrrUnitConfig())
       : Unit(Config), Freq(FreqCode::forInterval(Interval)) {}

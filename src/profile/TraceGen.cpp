@@ -70,7 +70,8 @@ uint32_t InvocationStream::next() {
 
   ++LoopEmitted;
   uint32_t Method = Tuple[TuplePos];
-  TuplePos = (TuplePos + 1) % Tuple.size();
+  if (++TuplePos == Tuple.size())
+    TuplePos = 0;
   return Method;
 }
 

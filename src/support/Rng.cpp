@@ -2,7 +2,6 @@
 
 #include "support/Rng.h"
 
-#include <algorithm>
 #include <cmath>
 
 using namespace bor;
@@ -20,47 +19,6 @@ Xoshiro256::Xoshiro256(uint64_t Seed) {
     Word = Seeder.next();
 }
 
-static inline uint64_t rotl64(uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
-}
-
-uint64_t Xoshiro256::next() {
-  uint64_t Result = rotl64(State[1] * 5, 7) * 9;
-  uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl64(State[3], 45);
-  return Result;
-}
-
-double Xoshiro256::nextDouble() {
-  // 53 high bits give a uniform double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Xoshiro256::nextBelow(uint64_t Bound) {
-  assert(Bound != 0 && "nextBelow requires a nonzero bound");
-  // Rejection sampling to avoid modulo bias; the retry probability is
-  // negligible for the bounds used in workload synthesis.
-  uint64_t Threshold = (0 - Bound) % Bound;
-  for (;;) {
-    uint64_t R = next();
-    if (R >= Threshold)
-      return R % Bound;
-  }
-}
-
-bool Xoshiro256::nextBool(double P) {
-  if (P <= 0.0)
-    return false;
-  if (P >= 1.0)
-    return true;
-  return nextDouble() < P;
-}
-
 ZipfSampler::ZipfSampler(size_t N, double S) {
   assert(N > 0 && "Zipf distribution needs at least one rank");
   Cdf.resize(N);
@@ -72,14 +30,21 @@ ZipfSampler::ZipfSampler(size_t N, double S) {
   for (double &V : Cdf)
     V /= Sum;
   Cdf.back() = 1.0;
-}
+  Last = N - 1;
 
-size_t ZipfSampler::sample(Xoshiro256 &Rng) const {
-  double U = Rng.nextDouble();
-  auto It = std::lower_bound(Cdf.begin(), Cdf.end(), U);
-  if (It == Cdf.end())
-    return Cdf.size() - 1;
-  return static_cast<size_t>(It - Cdf.begin());
+  // Guide[j] = lower_bound(Cdf, j / M). j / M is exact and below 1.0, the
+  // last CDF value, so the walk never runs off the end.
+  assert(N <= UINT32_MAX && "Zipf guide table holds 32-bit ranks");
+  size_t M = std::bit_ceil(4 * N);
+  GuideScale = static_cast<double>(M);
+  Guide.resize(M);
+  size_t K = 0;
+  for (size_t J = 0; J != M; ++J) {
+    double Edge = static_cast<double>(J) / GuideScale;
+    while (Cdf[K] < Edge)
+      ++K;
+    Guide[J] = static_cast<uint32_t>(K);
+  }
 }
 
 double ZipfSampler::probability(size_t K) const {

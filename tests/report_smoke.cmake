@@ -7,15 +7,20 @@
 #   3. Sampled runs write timeseries.json, byte-identical for --threads 1
 #      and 8, and the sampled manifests also compare clean against each
 #      other.
-#   4. --update-baselines regenerates the committed BENCH_fig13.json and
-#      BENCH_pgo_layout.json byte-identically (the baselines stay
-#      reproducible from source).
+#   4. --update-baselines regenerates the committed BENCH_fig13.json,
+#      BENCH_pgo_layout.json and the accuracy-path baselines
+#      (BENCH_fig09/fig10/sens_lfsr.json at scale 16, BENCH_fig12.json at
+#      scale 20) byte-identically, so the baselines stay reproducible from
+#      source and every Zipf draw, LFSR step and AppGen nextBelow behind
+#      them is pinned.
 #   5. --list-counters documents every counter a real run publishes.
 #   6. --progress jsonl emits machine-readable progress lines on stderr.
 #
 # Invoked by ctest with:
 #   -DBENCH=<bor-bench> -DREPORT=<bor-report>
 #   -DBASELINE=<committed bench/BENCH_fig13.json> -DWORKDIR=<scratch dir>
+# and optionally -DPGO_BASELINE, -DFIG09_BASELINE, -DFIG10_BASELINE,
+# -DSENS_LFSR_BASELINE and -DFIG12_BASELINE (the committed bench/ files).
 
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -127,30 +132,31 @@ if(NOT OUT MATCHES "Per-interval IPC")
   message(FATAL_ERROR "sampled report has no sparkline section:\n${OUT}")
 endif()
 
-# 4. The committed baseline is reproducible: --update-baselines into a
-# scratch dir regenerates it byte-identically, and a run dir compares
-# clean against it.
-run_bench(ERR_BL --experiment fig13 --scale 100 --no-table
-          --update-baselines --baseline-dir ${WORKDIR}/bench)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${WORKDIR}/bench/BENCH_fig13.json ${BASELINE}
-                RESULT_VARIABLE DIFF)
-if(NOT DIFF EQUAL 0)
-  message(FATAL_ERROR
-          "--update-baselines does not reproduce committed ${BASELINE}")
-endif()
-if(DEFINED PGO_BASELINE)
-  run_bench(ERR_PGO --experiment pgo_layout --scale 10 --no-table
-            --update-baselines --baseline-dir ${WORKDIR}/bench)
+# 4. The committed baselines are reproducible: --update-baselines into a
+# scratch dir regenerates each byte-identically, and a run dir compares
+# clean against the fig13 one. An empty path skips that baseline.
+function(check_baseline experiment scale committed)
+  if("${committed}" STREQUAL "")
+    return()
+  endif()
+  run_bench(ERR_UNUSED --experiment ${experiment} --scale ${scale} --no-table
+            --threads 2 --update-baselines --baseline-dir ${WORKDIR}/bench)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                          ${WORKDIR}/bench/BENCH_pgo_layout.json
-                          ${PGO_BASELINE}
+                          ${WORKDIR}/bench/BENCH_${experiment}.json
+                          ${committed}
                   RESULT_VARIABLE DIFF)
   if(NOT DIFF EQUAL 0)
     message(FATAL_ERROR
-            "--update-baselines does not reproduce committed ${PGO_BASELINE}")
+            "--update-baselines does not reproduce committed ${committed}")
   endif()
-endif()
+endfunction()
+
+check_baseline(fig13 100 "${BASELINE}")
+check_baseline(pgo_layout 10 "${PGO_BASELINE}")
+check_baseline(fig09 16 "${FIG09_BASELINE}")
+check_baseline(fig10 16 "${FIG10_BASELINE}")
+check_baseline(sens_lfsr 16 "${SENS_LFSR_BASELINE}")
+check_baseline(fig12 20 "${FIG12_BASELINE}")
 execute_process(COMMAND ${REPORT} ${BASELINE} ${WORKDIR}/runA
                 RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
 if(NOT RC EQUAL 0)

@@ -73,3 +73,20 @@ TEST(HwCounterUnit, ResonatesWithMatchingPeriod) {
   EXPECT_TRUE(SampledA == 0 || SampledB == 0)
       << "A=" << SampledA << " B=" << SampledB;
 }
+
+// The masked test in evaluate() against the modulo it replaced, with the
+// frequency changing at every evaluation (one count register is shared by
+// all sites) and a phase that starts the count near 2^64 so it wraps.
+TEST(HwCounterUnit, MaskMatchesModuloReference) {
+  for (uint64_t Phase : {uint64_t{0}, uint64_t{5}, ~uint64_t{0} - 100000}) {
+    HwCounterUnit U(Phase);
+    uint64_t Count = Phase;
+    for (unsigned I = 0; I != 400000; ++I) {
+      FreqCode F((I * 7 + I / 13) % FreqCode::NumValues);
+      ++Count;
+      ASSERT_EQ(U.evaluate(F), Count % F.expectedInterval() == 0)
+          << "evaluation " << I << " phase " << Phase;
+    }
+    EXPECT_EQ(U.evaluationCount(), Count);
+  }
+}

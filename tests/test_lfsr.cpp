@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <ostream>
 #include <unordered_set>
 
@@ -174,6 +175,73 @@ TEST(Lfsr, DefaultTapSetLookup) {
   EXPECT_EQ(defaultTapSet(16).Width, 16u);
   EXPECT_EQ(defaultTapSet(20).Width, 20u);
   EXPECT_EQ(defaultTapSet(20).PolyTaps, (std::vector<unsigned>{20, 17}));
+}
+
+namespace {
+
+/// Figure 6 written out: the feedback is the XOR of the tap bits taken one
+/// at a time, every bit moves one place toward the LSB, and the feedback
+/// enters at the MSB.
+struct ReferenceLfsr {
+  unsigned Width;
+  uint64_t TapMask;
+  uint64_t State;
+
+  bool feedback() const {
+    bool Fb = false;
+    for (uint64_t Taps = TapMask; Taps != 0; Taps &= Taps - 1)
+      Fb ^= (State >> std::countr_zero(Taps)) & 1;
+    return Fb;
+  }
+
+  bool step() {
+    bool Out = State & 1;
+    uint64_t Msb = feedback() ? 1ULL << (Width - 1) : 0;
+    State = (State >> 1) | Msb;
+    return Out;
+  }
+};
+
+/// Steps \p L and the reference side by side, comparing the feedback, the
+/// shifted-out bit and the new state at every step.
+void expectStepsMatchReference(Lfsr L, unsigned Steps) {
+  ReferenceLfsr Ref{L.width(), L.tapMask(), L.state()};
+  for (unsigned I = 0; I != Steps; ++I) {
+    ASSERT_EQ(L.feedbackBit(), Ref.feedback()) << "step " << I;
+    ASSERT_EQ(L.step(), Ref.step()) << "step " << I;
+    ASSERT_EQ(L.state(), Ref.State) << "step " << I;
+  }
+}
+
+} // namespace
+
+// Every width the register supports, 2 through 64 (the MSB shift reaches
+// 63), with two tap masks each: the two lowest bits, and bit 0 plus three
+// random bits. Each mask includes bit 0, the x^n term, so the step is
+// invertible and never reaches the absorbing zero state.
+TEST(Lfsr, StepMatchesFigure6ReferenceAtEveryWidth) {
+  Xoshiro256 Rng(59);
+  for (unsigned W = 2; W <= 64; ++W) {
+    uint64_t Mask = W == 64 ? ~0ULL : (1ULL << W) - 1;
+    uint64_t Random = 1;
+    for (int I = 0; I != 3; ++I)
+      Random |= 1ULL << Rng.nextBelow(W);
+    for (uint64_t Taps : {uint64_t{3}, Random}) {
+      uint64_t Seed = Rng.next() & Mask;
+      SCOPED_TRACE(testing::Message() << "width " << W << " taps 0x"
+                                      << std::hex << Taps);
+      expectStepsMatchReference(Lfsr(W, Taps, Seed ? Seed : 1), 100000);
+    }
+  }
+}
+
+TEST(Lfsr, StepMatchesFigure6ReferenceOnCatalogTapSets) {
+  for (const std::vector<TapSet> *Sets :
+       {&allTapSets(), &paperSensitivityTapSets()})
+    for (const TapSet &T : *Sets) {
+      SCOPED_TRACE(T.Name);
+      expectStepsMatchReference(T.makeLfsr(0xace1), 100000);
+    }
 }
 
 TEST(LfsrDeath, ZeroSeedAsserts) {

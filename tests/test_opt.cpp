@@ -70,6 +70,75 @@ TEST(ProfileMap, FromJsonRejectsWrongVersionAndMalformedInput) {
       "{\"version\":\"bor-profile-v1\",\"blocks\":[{\"id\":1}]}", Q, Err));
 }
 
+// The parser keeps numbers as doubles, so each of these parses; none is an
+// integer the field can hold, and casting any of them would truncate or be
+// undefined.
+TEST(ProfileMap, FromJsonRejectsNumbersOutsideTheFieldRange) {
+  auto Doc = [](const std::string &Id, const std::string &Count,
+                const std::string &Taken) {
+    return "{\"version\":\"bor-profile-v1\",\"complete\":false,"
+           "\"blocks\":[{\"id\":" +
+           Id + ",\"count\":" + Count + ",\"taken\":" + Taken + "}]}";
+  };
+  opt::ProfileMap Q;
+  std::string Err;
+  // The largest id and the largest double below 2^64 are in range.
+  ASSERT_TRUE(opt::ProfileMap::fromJson(
+      Doc("4294967295", "18446744073709549568", "18446744073709549568"), Q,
+      Err))
+      << Err;
+  EXPECT_EQ(Q.execCount(4294967295u), 18446744073709549568ull);
+
+  for (const char *Bad : {"-1", "2.5", "1e300", "1e400"}) {
+    for (int Field = 0; Field != 3; ++Field) {
+      std::string Text = Doc(Field == 0 ? Bad : "1", Field == 1 ? Bad : "1",
+                             Field == 2 ? Bad : "1");
+      Err.clear();
+      EXPECT_FALSE(opt::ProfileMap::fromJson(Text, Q, Err)) << Text;
+      EXPECT_NE(Err.find("is not an integer"), std::string::npos) << Err;
+    }
+  }
+  EXPECT_FALSE(opt::ProfileMap::fromJson(Doc("4294967296", "1", "0"), Q, Err));
+  EXPECT_NE(Err.find("id is not an integer in [0, 4294967295]"),
+            std::string::npos)
+      << Err;
+  EXPECT_FALSE(opt::ProfileMap::fromJson(
+      Doc("1", "18446744073709551616", "0"), Q, Err));
+}
+
+// Every truncation and every single-bit flip of a real oracle profile
+// either parses or fails with an error message.
+TEST(ProfileMap, FromJsonSurvivesTruncationAndBitFlips) {
+  PgoGenConfig C;
+  C.Iters = 50;
+  PgoWorkload W = buildPgoWorkload(C);
+  BrrUnitDecider D;
+  std::string Doc =
+      opt::collectOracleProfile(W.Baseline, D, 1 << 22).toJson();
+  ASSERT_GT(Doc.size(), 200u);
+
+  size_t Parsed = 0, Rejected = 0;
+  auto Load = [&](const std::string &Text) {
+    opt::ProfileMap Q;
+    std::string Err;
+    if (opt::ProfileMap::fromJson(Text, Q, Err)) {
+      ++Parsed;
+      return;
+    }
+    EXPECT_FALSE(Err.empty());
+    ++Rejected;
+  };
+  for (size_t Len = 0; Len != Doc.size(); ++Len)
+    Load(Doc.substr(0, Len));
+  for (size_t Bit = 0; Bit != 8 * Doc.size(); ++Bit) {
+    std::string Flipped = Doc;
+    Flipped[Bit / 8] = static_cast<char>(Flipped[Bit / 8] ^ (1 << (Bit % 8)));
+    Load(Flipped);
+  }
+  EXPECT_GT(Parsed, 0u);
+  EXPECT_GT(Rejected, Doc.size());
+}
+
 TEST(ProfileMap, OracleCountsMatchLoopStructure) {
   // A 10-iteration counted loop: head executes 10 times, its backward
   // branch is taken 9 times, the epilogue once.

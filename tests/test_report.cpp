@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "exp/Json.h"
 #include "exp/Manifest.h"
 #include "exp/Report.h"
 #include "support/Path.h"
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -315,6 +317,82 @@ TEST(Manifest, LoadRejectsMissingPath) {
   std::string Err;
   EXPECT_FALSE(loadRun(tempPath("bor_no_such_run_dir_xyz"), Run, Err));
   EXPECT_FALSE(Err.empty());
+}
+
+TEST(Json, ToIntegerAcceptsExactlyTheWholeNumbersOfTheType) {
+  int64_t I = 7;
+  EXPECT_TRUE(jsonToInteger(-0x1p63, I));
+  EXPECT_EQ(I, INT64_MIN);
+  EXPECT_FALSE(jsonToInteger(0x1p63, I));
+  EXPECT_FALSE(jsonToInteger(-1.0, I, int64_t{0}));
+  EXPECT_TRUE(jsonToInteger(-1.0, I, int64_t{-1}));
+  EXPECT_EQ(I, -1);
+  EXPECT_FALSE(jsonToInteger(0.5, I));
+  EXPECT_FALSE(jsonToInteger(std::nan(""), I));
+  EXPECT_FALSE(jsonToInteger(-HUGE_VAL, I));
+  EXPECT_EQ(I, -1);
+  uint32_t U = 0;
+  EXPECT_TRUE(jsonToInteger(4294967295.0, U));
+  EXPECT_EQ(U, 4294967295u);
+  EXPECT_FALSE(jsonToInteger(4294967296.0, U));
+  EXPECT_FALSE(jsonToInteger(-0.5, U));
+}
+
+// The parser keeps numbers as doubles, so each of these parses; none is a
+// valid index or count, and casting any of them would truncate or be
+// undefined.
+const char *const NonIntegers[] = {"-1", "2.5", "1e300", "1e400"};
+
+TEST(Manifest, RejectsNonIntegerCellFields) {
+  for (const char *Bad : NonIntegers) {
+    std::string Header =
+        "{\"experiment\":\"x\",\"kind\":\"header\",\"cells\":";
+    std::string Cell = "\n{\"experiment\":\"x\",\"kind\":\"cell\","
+                       "\"cell\":";
+    std::string Tail = ",\"params\":{},\"metrics\":{}}\n";
+    std::vector<LoadedExperiment> Out;
+    std::string Err;
+    EXPECT_FALSE(
+        parseResultsJsonLines(Header + Bad + "}" + Cell + "0" + Tail, Out,
+                              Err));
+    EXPECT_NE(Err.find("line 1: field 'cells' is not an integer"),
+              std::string::npos)
+        << Err;
+    Out.clear();
+    EXPECT_FALSE(
+        parseResultsJsonLines(Header + "1}" + Cell + Bad + Tail, Out, Err));
+    EXPECT_NE(Err.find("line 2: field 'cell' is not an integer"),
+              std::string::npos)
+        << Err;
+  }
+}
+
+TEST(Manifest, RejectsNonIntegerCounters) {
+  std::string Dir = tempPath("bor_manifest_bad_counters");
+  ASSERT_TRUE(writeFile(joinPath(Dir, "demo.json"), sampleResults(1.5)));
+  ManifestInfo Info;
+  Info.Experiments.push_back("demo");
+  Info.ResultFiles.emplace_back("demo", "demo.json");
+  Info.CountersFile = "counters.json";
+  std::string Err;
+  ASSERT_TRUE(writeManifest(Dir, Info, Err)) << Err;
+
+  auto Counters = [](const std::string &Value) {
+    return "{\"schema\":\"bor-counters-v1\",\"counters\":{\"a.b\":1,"
+           "\"c.d\":" +
+           Value + "}}";
+  };
+  LoadedRun Run;
+  ASSERT_TRUE(writeFile(joinPath(Dir, "counters.json"), Counters("7")));
+  ASSERT_TRUE(loadRun(Dir, Run, Err)) << Err;
+  ASSERT_EQ(Run.Counters.size(), 2u);
+  EXPECT_EQ(Run.Counters[1].second, 7u);
+  for (const char *Bad : NonIntegers) {
+    ASSERT_TRUE(writeFile(joinPath(Dir, "counters.json"), Counters(Bad)));
+    EXPECT_FALSE(loadRun(Dir, Run, Err)) << Bad;
+    EXPECT_NE(Err.find("counter 'c.d' is not an integer"), std::string::npos)
+        << Err;
+  }
 }
 
 //===----------------------------------------------------------------------===//
