@@ -11,6 +11,7 @@
 #include "exp/Manifest.h"
 #include "exp/Runner.h"
 #include "exp/ThreadPool.h"
+#include "support/ParseNum.h"
 #include "support/Path.h"
 #include "telemetry/CounterInfo.h"
 #include "telemetry/Counters.h"
@@ -77,23 +78,9 @@ const char *flagValue(const char *Flag, char **Argv, int Argc, int &I) {
   return nullptr;
 }
 
-/// Strict unsigned parse: the whole string must be a number. Returns false
-/// (leaving \p Out untouched) on empty input, trailing garbage, or
-/// overflow — the callers turn that into a usage error naming the flag,
-/// rather than silently running with a misread value.
-bool parseU64(const char *V, uint64_t &Out) {
-  if (!V || *V == '\0')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(V, &End, 0);
-  if (errno == ERANGE || End == V || *End != '\0')
-    return false;
-  Out = Parsed;
-  return true;
-}
-
-/// Strict non-negative double parse, same contract as parseU64.
+/// Strict non-negative double parse: the whole string must be a number.
+/// Returns false (leaving \p Out untouched) on empty input, trailing
+/// garbage, overflow or a negative value.
 bool parseF64(const char *V, double &Out) {
   if (!V || *V == '\0')
     return false;

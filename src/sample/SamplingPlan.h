@@ -43,9 +43,13 @@ struct SamplingPlan {
   /// ramp so the measured window reflects steady state.
   uint64_t DetailedWarmupInsts = 200;
 
+  /// Warm, measure and pre-roll fit in one period. Checked by subtraction,
+  /// so parts near 2^64 cannot wrap their sum back under the period.
   bool valid() const {
     return PeriodInsts > 0 && MeasureInsts > 0 &&
-           WarmupInsts + MeasureInsts + DetailedWarmupInsts <= PeriodInsts;
+           WarmupInsts <= PeriodInsts &&
+           MeasureInsts <= PeriodInsts - WarmupInsts &&
+           DetailedWarmupInsts <= PeriodInsts - WarmupInsts - MeasureInsts;
   }
 
   /// Fraction of the stream that runs through the detailed model.

@@ -18,17 +18,27 @@ BrrUnitDecider::~BrrUnitDecider() {
   Evals.add(Unit.evaluationCount());
 }
 
+Memory::~Memory() {
+  if (!telemetry::CounterRegistry::enabled())
+    return;
+  static const telemetry::Counter Misses("memory.translation_misses");
+  Misses.add(TranslationMisses);
+}
+
 Memory::Page &Memory::lookupWrite(uint64_t Key) {
+  ++TranslationMisses;
   Slot &S = Pages[Key];
-  Page &P = S.Write ? *S.Write : makeWritable(Key, S);
-  WriteKey = Key;
-  WritePage = &P;
-  return P;
+  if (!S.Write)
+    makeWritable(S);
+  fillEntry(Key, S);
+  return *S.Write;
 }
 
 /// Slow path of the store pipeline: privatizes a COW-shared page (copying
-/// its bytes and dropping the share) or allocates a fresh zero page.
-Memory::Page &Memory::makeWritable(uint64_t Key, Slot &S) {
+/// its bytes and dropping the share) or allocates a fresh zero page. The
+/// caller refills the translation-cache entry, which may still point at
+/// the dropped share.
+void Memory::makeWritable(Slot &S) {
   S.Owned = std::make_unique<Page>();
   if (S.Shared) {
     *S.Owned = *S.Shared;
@@ -39,19 +49,15 @@ Memory::Page &Memory::makeWritable(uint64_t Key, Slot &S) {
   }
   S.Write = S.Owned.get();
   S.Read = S.Owned.get();
-  // Dropping the share may have freed the page the read cache points at.
-  if (ReadKey == Key)
-    ReadPage = S.Read;
-  return *S.Owned;
 }
 
 const Memory::Page *Memory::lookupRead(uint64_t Key) const {
+  ++TranslationMisses;
   auto It = Pages.find(Key);
   if (It == Pages.end())
     return nullptr;
-  ReadKey = Key;
-  ReadPage = It->second.Read;
-  return ReadPage;
+  fillEntry(Key, It->second);
+  return It->second.Read;
 }
 
 void Memory::forEachPage(
@@ -68,7 +74,7 @@ void Memory::forEachPage(
 
 void Memory::restorePage(uint64_t Base, const uint8_t *Data) {
   assert(Base % PageBytes == 0 && "page base must be page-aligned");
-  dropPageCache();
+  clearEntry(Base / PageBytes);
   // Whole-page overwrite: bypass the COW copy (its bytes would be
   // clobbered immediately) by installing a fresh owned page directly.
   Slot &S = Pages[Base / PageBytes];
@@ -84,7 +90,7 @@ void Memory::restorePage(uint64_t Base, const uint8_t *Data) {
 void Memory::attachShared(uint64_t Base, PageRef P) {
   assert(Base % PageBytes == 0 && "page base must be page-aligned");
   assert(P && "attaching a null shared page");
-  dropPageCache();
+  clearEntry(Base / PageBytes);
   Slot &S = Pages[Base / PageBytes];
   S.Owned.reset();
   S.Write = nullptr;

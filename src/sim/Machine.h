@@ -23,7 +23,9 @@
 #include "isa/Program.h"
 
 #include <array>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -32,7 +34,8 @@
 namespace bor {
 
 /// Sparse, paged simulated memory. 64-bit accesses must be 8-byte aligned
-/// (all generated code allocates data with that alignment).
+/// (all generated code allocates data with that alignment) and are
+/// little-endian.
 ///
 /// Pages come in two flavors: privately owned (the ordinary case) and
 /// copy-on-write shares of refcounted immutable pages (attachShared). A
@@ -41,21 +44,28 @@ namespace bor {
 /// resumed from the same checkpoint-library snapshot (src/ckpt/) alias
 /// every untouched page while writes stay strictly per-machine.
 ///
-/// Accesses skip the page-table hash when they hit the page of the
-/// previous read (read cache) or store (write cache). On the Figure 13
-/// workloads nearly every store and 39-48% of loads hit. The caches hold a
-/// page key and a pointer to that page, so every change of a mapping must
-/// keep them coherent:
-///  * reset() (and so Machine::loadProgram), attachShared and restorePage
-///    drop both caches;
-///  * makeWritable, privatizing a COW page on its first store, repoints
-///    the read cache when it holds that page;
-///  * a read of an unmapped page is never cached, so a store that maps a
-///    fresh page cannot leave a stale read behind.
-/// The read cache is mutable, so a Memory must not be read from two
-/// threads at once: every simulator thread owns its Machine. A Memory is
-/// neither copyable nor movable: a moved-from Memory's caches would still
-/// point at pages it gave away.
+/// Accesses translate a page number through a direct-mapped cache of
+/// TlbEntries entries, indexed by page number mod TlbEntries, before they
+/// fall back to the page-table hash. Each entry holds a page number, that
+/// page's read pointer and its write pointer, which is null while the page
+/// is a COW share. A read hits when the page number matches; a write hits
+/// when it matches and the write pointer is set, so the first write to a
+/// share takes the slow path, which privatizes the page. The Figure 13
+/// programs touch one hot data page and stream their text through
+/// consecutive pages, so nearly every miss is a cold one. The entries point
+/// at pages, so every change of a mapping must keep them coherent:
+///  * a slow-path lookup (lookupRead, lookupWrite) refills the entry of the
+///    page it found, so the write that privatizes a share also repoints the
+///    entry at the private copy;
+///  * a read of an unmapped page fills nothing, so a store that maps a
+///    fresh page cannot leave a stale read behind;
+///  * attachShared and restorePage clear the entry of the page they remap;
+///  * reset() (and so Machine::loadProgram and every checkpoint resume)
+///    clears every entry.
+/// The cache is mutable, so a Memory must not be read from two threads at
+/// once: every simulator thread owns its Machine. A Memory is neither
+/// copyable nor movable: a moved-from Memory's entries would still point at
+/// pages it gave away.
 class Memory {
 public:
   /// One page of simulated memory; the unit shared between a checkpoint
@@ -65,6 +75,9 @@ public:
   using PageRef = std::shared_ptr<const Page>;
 
   Memory() = default;
+  /// Publishes the lifetime slow-path lookup count to the telemetry
+  /// counter registry (memory.translation_misses).
+  ~Memory();
   Memory(const Memory &) = delete;
   Memory &operator=(const Memory &) = delete;
 
@@ -80,18 +93,14 @@ public:
     const Page *P = pageForRead(Addr);
     if (!P)
       return 0;
-    uint64_t Offset = Addr % PageBytes;
-    uint64_t Value = 0;
-    for (unsigned I = 0; I != 8; ++I)
-      Value |= static_cast<uint64_t>((*P)[Offset + I]) << (8 * I);
+    uint64_t Value;
+    std::memcpy(&Value, P->data() + Addr % PageBytes, sizeof(Value));
     return Value;
   }
   void writeU64(uint64_t Addr, uint64_t Value) {
     assert(Addr % 8 == 0 && "64-bit stores must be 8-byte aligned");
-    Page &P = pageFor(Addr);
-    uint64_t Offset = Addr % PageBytes;
-    for (unsigned I = 0; I != 8; ++I)
-      P[Offset + I] = static_cast<uint8_t>(Value >> (8 * I));
+    std::memcpy(pageFor(Addr).data() + Addr % PageBytes, &Value,
+                sizeof(Value));
   }
 
   /// Number of distinct pages touched (for tests).
@@ -130,12 +139,14 @@ public:
   /// this to shed stale private copies.
   void reset() {
     Pages.clear();
-    dropPageCache();
+    Tlb.fill(TlbEntry());
   }
 
 private:
   static constexpr uint64_t PageBytes = 4096;
   static_assert(sizeof(Page) == PageBytes, "page type matches granularity");
+  static_assert(std::endian::native == std::endian::little,
+                "readU64/writeU64 copy host words as little-endian");
 
   /// One page mapping. Read is always valid once populated (points into
   /// Owned or Shared); Write is null while the page is COW-shared, which
@@ -147,35 +158,47 @@ private:
     PageRef Shared;
   };
 
+  /// One translation-cache entry: a Slot's pointers under its page number.
+  /// NoKey matches no page, since page numbers are addresses divided by
+  /// PageBytes.
+  static constexpr uint64_t NoKey = ~0ULL;
+  struct TlbEntry {
+    uint64_t Key = NoKey;
+    const Page *Read = nullptr;
+    Page *Write = nullptr;
+  };
+  static constexpr uint64_t TlbEntries = 64;
+
   /// The writable page holding \p Addr, allocating or privatizing it.
   Page &pageFor(uint64_t Addr) {
     uint64_t Key = Addr / PageBytes;
-    return Key == WriteKey ? *WritePage : lookupWrite(Key);
+    const TlbEntry &E = Tlb[Key % TlbEntries];
+    return E.Key == Key && E.Write ? *E.Write : lookupWrite(Key);
   }
   /// The page holding \p Addr, or null while it is unmapped.
   const Page *pageForRead(uint64_t Addr) const {
     uint64_t Key = Addr / PageBytes;
-    return Key == ReadKey ? ReadPage : lookupRead(Key);
+    const TlbEntry &E = Tlb[Key % TlbEntries];
+    return E.Key == Key ? E.Read : lookupRead(Key);
   }
   Page &lookupWrite(uint64_t Key);
   const Page *lookupRead(uint64_t Key) const;
-  Page &makeWritable(uint64_t Key, Slot &S);
-  void dropPageCache() {
-    ReadKey = WriteKey = NoKey;
-    ReadPage = nullptr;
-    WritePage = nullptr;
+  void makeWritable(Slot &S);
+  void fillEntry(uint64_t Key, const Slot &S) const {
+    Tlb[Key % TlbEntries] = {Key, S.Read, S.Write};
+  }
+  void clearEntry(uint64_t Key) {
+    TlbEntry &E = Tlb[Key % TlbEntries];
+    if (E.Key == Key)
+      E = TlbEntry();
   }
 
   std::unordered_map<uint64_t, Slot> Pages;
   CowCounts Cow;
-
-  /// Last-page caches (see the class comment). NoKey matches no page:
-  /// keys are addresses divided by PageBytes.
-  static constexpr uint64_t NoKey = ~0ULL;
-  mutable uint64_t ReadKey = NoKey;
-  mutable const Page *ReadPage = nullptr;
-  uint64_t WriteKey = NoKey;
-  Page *WritePage = nullptr;
+  mutable std::array<TlbEntry, TlbEntries> Tlb;
+  /// Slow-path lookups: translation-cache misses, plus every read of an
+  /// unmapped page.
+  mutable uint64_t TranslationMisses = 0;
 };
 
 /// Resolves branch-on-random outcomes for an executing program.

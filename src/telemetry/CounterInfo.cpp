@@ -82,6 +82,9 @@ const CounterInfo Table[] = {
     {"interp.runs", "functional interpreter runs (dtor publications)"},
     {"interp.run.insts", "instructions retired per interpreter run", true},
     {"interp.stores", "functional stores executed"},
+    {"memory.translation_misses",
+     "simulated-memory page lookups that missed the translation cache "
+     "(miss rate: divide by interp.loads + interp.stores)"},
     {"opt.pass.brr_outlined",
      "brr-uncommon blocks moved out of line structurally"},
     {"opt.pass.cold_outlined", "profiled-cold blocks moved to cold sections"},

@@ -8,7 +8,12 @@
 #include "sim/Interpreter.h"
 #include "workloads/Microbench.h"
 
+#include "Mutations.h"
+
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace bor;
 
@@ -294,4 +299,29 @@ TEST(Assembler, RdLfsrForm) {
   // And it round-trips through the disassembler.
   Program Back = mustAssemble(disassemble(P));
   EXPECT_EQ(Back.at(0), Inst::rdlfsr(9));
+}
+
+// Every truncation and every single-bit flip of the shipped example either
+// assembles or fails with a line-numbered error, and never crashes.
+TEST(AssemblerErrors, SurvivesTruncationAndBitFlipsOfTheExample) {
+  std::ifstream In(BOR_EXAMPLES_DIR "/asm/sampling.s");
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  const std::string Src = Buf.str();
+  ASSERT_GT(Src.size(), 500u);
+  ASSERT_TRUE(assemble(Src).Ok);
+
+  size_t Parsed = 0, Rejected = 0;
+  auto Assemble = [&](const std::string &Text) {
+    AssemblyResult R = assemble(Text);
+    if (R.Ok) {
+      ++Parsed;
+      return;
+    }
+    EXPECT_EQ(R.Error.rfind("line ", 0), 0u) << R.Error;
+    ++Rejected;
+  };
+  testgen::forEachMutation(Src, Assemble);
+  EXPECT_GT(Parsed, 0u);
+  EXPECT_GT(Rejected, 0u);
 }

@@ -336,6 +336,33 @@ TEST(TableSinkTest, RendersTitleColumnsAndNotes) {
 }
 
 //===----------------------------------------------------------------------===//
+// Sampling-plan flags, end to end through benchMain
+//===----------------------------------------------------------------------===//
+
+int runBench(std::vector<std::string> Args) {
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  return benchMain(static_cast<int>(Argv.size()), Argv.data());
+}
+
+TEST(DriverTest, NegativeSampleWarmIsAUsageError) {
+  // strtoull reads "-1" as 2^64-1, which once ran the full grid and exited
+  // 0 with no sample_intervals.
+  EXPECT_EXIT(runBench({"bor-bench", "--experiment", "fig13", "--sample",
+                        "--sample-warm", "-1", "--no-table", "--no-json"}),
+              testing::ExitedWithCode(2), "--sample-warm");
+}
+
+TEST(DriverTest, PlanWhoseSumWrapsIsRejected) {
+  // Written out, 2^64-1 parses; the plan check must not wrap its sum.
+  EXPECT_EQ(runBench({"bor-bench", "--experiment", "fig13", "--sample",
+                      "--sample-warm", "18446744073709551615", "--no-table",
+                      "--no-json"}),
+            2);
+}
+
+//===----------------------------------------------------------------------===//
 // --cell-timeout, end to end through the driver
 //===----------------------------------------------------------------------===//
 

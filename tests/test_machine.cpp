@@ -3,8 +3,14 @@
 #include "sim/Machine.h"
 
 #include "isa/ProgramBuilder.h"
+#include "telemetry/Counters.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <map>
+#include <random>
+#include <vector>
 
 using namespace bor;
 
@@ -59,9 +65,10 @@ TEST(MemoryDeath, MisalignedU64Asserts) {
   EXPECT_DEATH((void)M.readU64(9), "aligned");
 }
 
-// The last-page caches must never serve a page the mapping no longer
+// The translation cache must never serve a page the mapping no longer
 // holds. Each case first reads (and where relevant writes) the page so it
-// is cached, then changes the mapping under the cache.
+// is cached, then changes the mapping under the cache. Under ASan a stale
+// entry is a use-after-free of the page it still points at.
 
 namespace {
 
@@ -165,6 +172,213 @@ TEST(MemoryCache, UnmappedReadIsNotCachedPastTheFirstWrite) {
   EXPECT_EQ(M.readU64(0x6000), 0u);
   M.writeU64(0x6000, 5);
   EXPECT_EQ(M.readU64(0x6000), 5u);
+}
+
+// Page numbers 64 apart share one direct-mapped entry.
+constexpr uint64_t AliasStride = 64 * 4096;
+
+TEST(MemoryCache, AliasingPagesKeepTheirOwnBytes) {
+  Memory M;
+  const uint64_t A = 0x5000, B = A + AliasStride;
+  for (uint64_t I = 0; I != 512; ++I) {
+    M.writeU64(A + 8 * I, I);
+    M.writeU64(B + 8 * I, ~I);
+    EXPECT_EQ(M.readU64(A + 8 * I), I);
+    M.writeU8(B + 8 * I, 0x5a);
+    EXPECT_EQ(M.readU64(B + 8 * I), (~I & ~0xffULL) | 0x5a);
+    EXPECT_EQ(M.readU8(A + 8 * I), static_cast<uint8_t>(I));
+  }
+  EXPECT_EQ(M.numPages(), 2u);
+}
+
+TEST(MemoryCache, RemapLeavesOtherCachedPagesCorrect) {
+  Memory M;
+  // Eight owned pages: four adjacent, four aliasing the first.
+  std::vector<uint64_t> Bases;
+  for (uint64_t I = 0; I != 4; ++I) {
+    Bases.push_back(0x10000 + I * 4096);
+    Bases.push_back(0x10000 + I * 4096 + 3 * AliasStride);
+  }
+  for (uint64_t Base : Bases)
+    M.writeU64(Base, Base);
+  for (uint64_t Base : Bases)
+    EXPECT_EQ(M.readU64(Base), Base);
+
+  // Remap two pages, each while its entry holds it.
+  EXPECT_EQ(M.readU64(Bases[2]), Bases[2]);
+  Memory::PageRef Shared = filledPage(0x21);
+  M.attachShared(Bases[2], Shared);
+  EXPECT_EQ(M.readU64(Bases[5]), Bases[5]);
+  Memory::PageRef Restored = filledPage(0x43);
+  M.restorePage(Bases[5], Restored->data());
+  for (size_t I = 0; I != Bases.size(); ++I) {
+    uint64_t Want = I == 2   ? 0x2121212121212121ULL
+                    : I == 5 ? 0x4343434343434343ULL
+                             : Bases[I];
+    EXPECT_EQ(M.readU64(Bases[I]), Want) << "page " << I;
+    M.writeU8(Bases[I] + 8, static_cast<uint8_t>(I));
+  }
+  for (size_t I = 0; I != Bases.size(); ++I)
+    EXPECT_EQ(M.readU8(Bases[I] + 8), static_cast<uint8_t>(I))
+        << "page " << I;
+  EXPECT_EQ(M.cowCounts().Copied, 1u);
+  EXPECT_EQ((*Shared)[8], 0x21);
+}
+
+TEST(MemoryCache, CachedShareIsPrivatizedExactlyOnce) {
+  Memory::PageRef Shared = filledPage(0x11);
+  Machine A, B;
+  A.memory().attachShared(0x8000, Shared);
+  B.memory().attachShared(0x8000, Shared);
+  Shared.reset(); // the two Machines now hold the only references
+  // Reads fill the entry with the share and a null write pointer.
+  EXPECT_EQ(A.memory().readU64(0x8000), 0x1111111111111111ULL);
+  EXPECT_EQ(A.memory().readU8(0x8fff), 0x11);
+
+  for (uint64_t I = 0; I != 64; ++I)
+    A.memory().writeU64(0x8000 + 8 * I, I + 1);
+  A.memory().writeU8(0x8fff, 0x99);
+  EXPECT_EQ(A.memory().cowCounts().Copied, 1u);
+  for (uint64_t I = 0; I != 64; ++I)
+    EXPECT_EQ(A.memory().readU64(0x8000 + 8 * I), I + 1);
+  EXPECT_EQ(A.memory().readU8(0x8fff), 0x99);
+  EXPECT_EQ(A.memory().readU8(0x8200), 0x11);
+
+  EXPECT_EQ(B.memory().readU64(0x8000), 0x1111111111111111ULL);
+  EXPECT_EQ(B.memory().readU8(0x8fff), 0x11);
+  EXPECT_EQ(B.memory().cowCounts().Copied, 0u);
+}
+
+TEST(MemoryCache, PublishesSlowPathLookups) {
+  telemetry::CounterRegistry &Registry =
+      telemetry::CounterRegistry::instance();
+  telemetry::CounterRegistry::setEnabled(true);
+  Registry.reset();
+  {
+    Memory M;
+    M.writeU64(0x1000, 1); // miss: allocates the page
+    for (int I = 0; I != 100; ++I)
+      M.writeU64(0x1000, M.readU64(0x1000) + 1); // hits
+    (void)M.readU8(0x9000); // unmapped: a miss that fills nothing
+    (void)M.readU8(0x9000);
+    for (int I = 0; I != 10; ++I) // aliases evict each other
+      M.writeU8(I % 2 ? 0x1000 : 0x1000 + AliasStride, 1);
+  }
+  uint64_t Misses = 0;
+  for (const auto &[Name, Value] : Registry.snapshot().Counters)
+    if (Name == "memory.translation_misses")
+      Misses = Value;
+  telemetry::CounterRegistry::setEnabled(false);
+  Registry.reset();
+  EXPECT_EQ(Misses, 1u + 2u + 10u);
+}
+
+namespace {
+
+/// The uncached model the randomized test checks Memory against: a page
+/// per number, flagged while it is still an unwritten COW share.
+struct RefPage {
+  Memory::Page Bytes;
+  bool Shared = false;
+};
+
+struct RefMemory {
+  std::map<uint64_t, RefPage> Pages;
+  uint64_t Attached = 0, Copied = 0;
+
+  uint8_t readU8(uint64_t Addr) const {
+    auto It = Pages.find(Addr / 4096);
+    return It == Pages.end() ? 0 : It->second.Bytes[Addr % 4096];
+  }
+  uint64_t readU64(uint64_t Addr) const {
+    uint64_t V = 0;
+    for (unsigned I = 0; I != 8; ++I)
+      V |= static_cast<uint64_t>(readU8(Addr + I)) << (8 * I);
+    return V;
+  }
+  RefPage &writable(uint64_t Addr) {
+    auto [It, Fresh] = Pages.try_emplace(Addr / 4096);
+    if (Fresh)
+      It->second.Bytes.fill(0);
+    if (It->second.Shared) {
+      It->second.Shared = false;
+      ++Copied;
+    }
+    return It->second;
+  }
+  void writeU8(uint64_t Addr, uint8_t V) {
+    writable(Addr).Bytes[Addr % 4096] = V;
+  }
+  void writeU64(uint64_t Addr, uint64_t V) {
+    RefPage &P = writable(Addr);
+    for (unsigned I = 0; I != 8; ++I)
+      P.Bytes[Addr % 4096 + I] = static_cast<uint8_t>(V >> (8 * I));
+  }
+};
+
+} // namespace
+
+TEST(MemoryCache, RandomOpsMatchAnUncachedReference) {
+  // 200 page numbers on 8 of the 64 entries, 25 pages per entry, some
+  // far above the rest.
+  std::vector<uint64_t> Keys;
+  for (uint64_t Set = 0; Set != 8; ++Set)
+    for (uint64_t Way = 0; Way != 25; ++Way)
+      Keys.push_back(Set * 9 + Way * 64 + (Way % 5 == 4 ? 1ULL << 32 : 0));
+
+  std::mt19937_64 Rng(0x7e57ab1e);
+  auto Filled = [&Rng] {
+    auto P = std::make_shared<Memory::Page>();
+    const uint64_t Seed = Rng();
+    for (size_t I = 0; I != P->size(); ++I)
+      (*P)[I] = static_cast<uint8_t>((Seed >> (8 * (I % 8))) + I / 8);
+    return P;
+  };
+
+  Memory M;
+  RefMemory Ref;
+  uint64_t Key = Keys[0];
+  for (int Op = 0; Op != 1000000; ++Op) {
+    // Mostly stay on the last page, so both hits and misses happen.
+    if (Rng() % 4 == 0)
+      Key = Keys[Rng() % Keys.size()];
+    const uint64_t Base = Key * 4096;
+    const uint64_t Addr = Base + Rng() % 4096;
+    const uint64_t Word = Addr & ~7ULL;
+    const unsigned Kind = Rng() % 1000;
+    if (Kind < 300) {
+      ASSERT_EQ(M.readU8(Addr), Ref.readU8(Addr)) << "op " << Op;
+    } else if (Kind < 600) {
+      ASSERT_EQ(M.readU64(Word), Ref.readU64(Word)) << "op " << Op;
+    } else if (Kind < 750) {
+      const uint8_t V = static_cast<uint8_t>(Rng());
+      M.writeU8(Addr, V);
+      Ref.writeU8(Addr, V);
+    } else if (Kind < 980) {
+      const uint64_t V = Rng();
+      M.writeU64(Word, V);
+      Ref.writeU64(Word, V);
+    } else if (Kind < 990) {
+      std::shared_ptr<Memory::Page> P = Filled();
+      Ref.Pages[Key] = {*P, true};
+      ++Ref.Attached;
+      M.attachShared(Base, std::move(P));
+    } else if (Kind < 999) {
+      std::shared_ptr<Memory::Page> P = Filled();
+      Ref.Pages[Key] = {*P, false};
+      M.restorePage(Base, P->data());
+    } else {
+      M.reset();
+      Ref.Pages.clear();
+    }
+    ASSERT_EQ(M.cowCounts().Copied, Ref.Copied) << "op " << Op;
+  }
+  EXPECT_EQ(M.cowCounts().Attached, Ref.Attached);
+  EXPECT_GT(Ref.Copied, 0u);
+  EXPECT_EQ(M.numPages(), Ref.Pages.size());
+  for (const auto &[K, P] : Ref.Pages)
+    for (uint64_t Off = 0; Off != 4096; Off += 8)
+      ASSERT_EQ(M.readU64(K * 4096 + Off), Ref.readU64(K * 4096 + Off));
 }
 
 TEST(Machine, RegistersStartZero) {

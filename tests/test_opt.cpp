@@ -16,6 +16,8 @@
 #include "sim/Interpreter.h"
 #include "workloads/PgoGen.h"
 
+#include "Mutations.h"
+
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -128,13 +130,7 @@ TEST(ProfileMap, FromJsonSurvivesTruncationAndBitFlips) {
     EXPECT_FALSE(Err.empty());
     ++Rejected;
   };
-  for (size_t Len = 0; Len != Doc.size(); ++Len)
-    Load(Doc.substr(0, Len));
-  for (size_t Bit = 0; Bit != 8 * Doc.size(); ++Bit) {
-    std::string Flipped = Doc;
-    Flipped[Bit / 8] = static_cast<char>(Flipped[Bit / 8] ^ (1 << (Bit % 8)));
-    Load(Flipped);
-  }
+  testgen::forEachMutation(Doc, Load);
   EXPECT_GT(Parsed, 0u);
   EXPECT_GT(Rejected, Doc.size());
 }

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "exp/Driver.h"
 #include "exp/Json.h"
 #include "exp/Manifest.h"
 #include "exp/Report.h"
@@ -16,10 +17,15 @@
 #include "telemetry/Counters.h"
 #include "telemetry/TimeSeries.h"
 
+#include "Mutations.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -393,6 +399,100 @@ TEST(Manifest, RejectsNonIntegerCounters) {
     EXPECT_NE(Err.find("counter 'c.d' is not an integer"), std::string::npos)
         << Err;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Decoder sweeps: every truncation and every single-bit flip of a real
+// document either fails with an error or parses, and never crashes.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// A real run directory: bor-bench's benchMain, in-process, writing a
+/// tiny-scale fig09 run (manifest, results and counters).
+std::string writeRealRunDir(const std::string &Name) {
+  std::string Dir = tempPath(Name);
+  std::filesystem::remove_all(Dir);
+  std::vector<std::string> Args = {"bor-bench", "--experiment", "fig09",
+                                   "--scale",   "1000",         "--threads",
+                                   "1",         "--no-table",   "--run-dir",
+                                   Dir};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  EXPECT_EQ(benchMain(static_cast<int>(Argv.size()), Argv.data()), 0);
+  telemetry::CounterRegistry::setEnabled(false);
+  telemetry::CounterRegistry::instance().reset();
+  return Dir;
+}
+
+} // namespace
+
+TEST(Json, ParseSurvivesTruncationAndBitFlips) {
+  std::string Dir = writeRealRunDir("bor_sweep_json");
+  size_t Parsed = 0, Rejected = 0, Docs = 0;
+  auto Parse = [&](const std::string &Text) {
+    JsonValue V;
+    std::string Err;
+    if (jsonParse(Text, V, Err)) {
+      ++Parsed;
+      return;
+    }
+    EXPECT_FALSE(Err.empty());
+    ++Rejected;
+  };
+  std::istringstream Results(readFile(joinPath(Dir, "fig09.json")));
+  std::vector<std::string> Texts = {readFile(joinPath(Dir, "manifest.json")),
+                                    readFile(joinPath(Dir, "counters.json"))};
+  for (std::string Line; std::getline(Results, Line);)
+    Texts.push_back(Line);
+  for (const std::string &Text : Texts) {
+    ASSERT_GT(Text.size(), 40u);
+    testgen::forEachMutation(Text, Parse);
+    Docs += Text.size();
+  }
+  EXPECT_GT(Parsed, 0u);   // flips inside strings and digits still parse
+  EXPECT_GT(Rejected, Docs); // every proper prefix of an object fails
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(Manifest, LoadRunSurvivesTruncationAndBitFlips) {
+  std::string Dir = writeRealRunDir("bor_sweep_run");
+  {
+    LoadedRun Run;
+    std::string Err;
+    ASSERT_TRUE(loadRun(Dir, Run, Err)) << Err;
+    ASSERT_NE(Run.findExperiment("fig09"), nullptr);
+    ASSERT_FALSE(Run.Counters.empty());
+  }
+  for (const char *File : {"manifest.json", "fig09.json"}) {
+    const std::string Path = joinPath(Dir, File);
+    const std::string Good = readFile(Path);
+    ASSERT_GT(Good.size(), 100u) << File;
+    size_t Parsed = 0, Rejected = 0;
+    testgen::forEachMutation(Good, [&](const std::string &Text) {
+      ASSERT_TRUE(writeFile(Path, Text));
+      LoadedRun Run;
+      std::string Err;
+      if (loadRun(Dir, Run, Err)) {
+        ++Parsed;
+        return;
+      }
+      EXPECT_FALSE(Err.empty()) << File;
+      ++Rejected;
+    });
+    EXPECT_GT(Parsed, 0u) << File;
+    EXPECT_GT(Rejected, Good.size() / 2) << File;
+    ASSERT_TRUE(writeFile(Path, Good));
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//

@@ -77,6 +77,16 @@ TEST(SamplingPlan, Validity) {
   P = SamplingPlan();
   P.WarmupInsts = P.PeriodInsts; // warm + measure overflow the period
   EXPECT_FALSE(P.valid());
+  // Parts whose 64-bit sum wraps back under the period still do not fit.
+  P = SamplingPlan();
+  P.WarmupInsts = ~0ULL;
+  EXPECT_FALSE(P.valid());
+  P = SamplingPlan();
+  P.DetailedWarmupInsts = ~0ULL - P.WarmupInsts - P.MeasureInsts + 1;
+  EXPECT_FALSE(P.valid());
+  P = SamplingPlan();
+  P.WarmupInsts = P.PeriodInsts - P.MeasureInsts - P.DetailedWarmupInsts;
+  EXPECT_TRUE(P.valid()); // an exact fit, with no fast-forward left
 }
 
 TEST(SampledRunner, ArchStateIdenticalToFunctionalRun) {

@@ -3,7 +3,8 @@
 #
 # Invoked by ctest with:
 #   -DAS=<bor-as> -DDIS=<bor-dis> -DRUN=<bor-run> -DPIPEVIEW=<bor-pipeview>
-#   -DWORKDIR=<scratch dir>
+#   -DGEN=<bor-gen> -DOPT=<bor-opt> -DBENCH=<bor-bench>
+#   -DEXAMPLE_ASM=<examples/asm/sampling.s> -DWORKDIR=<scratch dir>
 
 file(MAKE_DIRECTORY ${WORKDIR})
 set(SRC ${WORKDIR}/smoke.s)
@@ -178,6 +179,46 @@ execute_process(COMMAND ${BENCH} --experiment fig99
                 RESULT_VARIABLE RC OUTPUT_QUIET ERROR_QUIET)
 if(RC EQUAL 0)
   message(FATAL_ERROR "bor-bench accepted an unknown experiment")
+endif()
+
+# A malformed numeric or named flag value is a usage error: exit status 2
+# exactly (an assert abort is 134) and a diagnostic naming the flag,
+# never a run with a misread value.
+function(must_reject flag)
+  execute_process(COMMAND ${ARGN}
+                  RESULT_VARIABLE RC
+                  OUTPUT_VARIABLE OUT
+                  ERROR_VARIABLE ERR)
+  if(NOT RC EQUAL 2)
+    message(FATAL_ERROR "expected exit 2 for bad ${flag}, got ${RC}: "
+                        "${ARGN}\n${OUT}\n${ERR}")
+  endif()
+  if(NOT ERR MATCHES "${flag}")
+    message(FATAL_ERROR "diagnostic does not name ${flag}: ${ERR}")
+  endif()
+endfunction()
+
+file(REMOVE ${WORKDIR}/reject.borb)
+must_reject(--max-insts ${RUN} ${IMG} --max-insts=1e6)
+must_reject(--max-insts ${RUN} ${IMG} --max-insts=lots)
+must_reject(--seed ${RUN} ${IMG} --seed=-1)
+must_reject(--ckpt-every ${RUN} ${IMG} --ckpt-dir=${WORKDIR}/ckpt
+            --ckpt-every=1e5)
+must_reject(--interval ${GEN} micro --framework=brr --interval=1000
+            -o ${WORKDIR}/reject.borb)
+must_reject(--interval ${GEN} micro --framework=brr --interval=1e3
+            -o ${WORKDIR}/reject.borb)
+must_reject(--interval ${GEN} micro --framework=cbs --interval=0
+            -o ${WORKDIR}/reject.borb)
+must_reject(--size ${GEN} micro "--size= 5" -o ${WORKDIR}/reject.borb)
+must_reject(--decider ${PIPEVIEW} ${IMG} --decider=bogus)
+must_reject(--insts ${PIPEVIEW} ${IMG} --insts=12x)
+must_reject(--cold-divisor ${OPT} ${IMG} -o ${WORKDIR}/reject.borb
+            --cold-divisor 1e3)
+must_reject(--sample-warm ${BENCH} --experiment fig13 --sample
+            --sample-warm -1)
+if(EXISTS ${WORKDIR}/reject.borb)
+  message(FATAL_ERROR "a rejected bor-gen/bor-opt run wrote its output")
 endif()
 
 message(STATUS "toolchain smoke test passed")

@@ -20,10 +20,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "isa/Serialize.h"
+#include "support/ParseNum.h"
 #include "workloads/AppGen.h"
 #include "workloads/Kernels.h"
 #include "workloads/Microbench.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,6 +58,23 @@ bool parseFramework(const std::string &Name, SamplingFramework &Out) {
   return true;
 }
 
+/// Whether \p Config's interval is one its framework can build: brr
+/// encodes power-of-two intervals in [2, 65536], the counter and full
+/// frameworks need at least 1, and the baseline ignores it.
+bool intervalFits(const InstrumentationConfig &Config) {
+  uint64_t N = Config.Interval;
+  switch (Config.Framework) {
+  case SamplingFramework::None:
+    return true;
+  case SamplingFramework::Full:
+  case SamplingFramework::CounterBased:
+    return N >= 1;
+  case SamplingFramework::BrrBased:
+    return N >= 2 && N <= 65536 && std::has_single_bit(N);
+  }
+  return false;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -76,15 +95,15 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (std::strncmp(A, "--interval=", 11) == 0) {
-      Instr.Interval = std::strtoull(A + 11, nullptr, 0);
+      Instr.Interval = parseU64Flag("bor-gen", "--interval", A + 11);
     } else if (std::strcmp(A, "--full-dup") == 0) {
       Instr.Dup = DuplicationMode::FullDuplication;
     } else if (std::strcmp(A, "--framework-only") == 0) {
       Instr.IncludeBody = false;
     } else if (std::strncmp(A, "--size=", 7) == 0) {
-      Size = std::strtoull(A + 7, nullptr, 0);
+      Size = parseU64Flag("bor-gen", "--size", A + 7);
     } else if (std::strncmp(A, "--seed=", 7) == 0) {
-      Seed = std::strtoull(A + 7, nullptr, 0);
+      Seed = parseU64Flag("bor-gen", "--seed", A + 7);
       HaveSeed = true;
     } else if (A[0] != '-' && Workload.empty()) {
       Workload = A;
@@ -95,6 +114,14 @@ int main(int Argc, char **Argv) {
   }
   if (Workload.empty()) {
     usage();
+    return 2;
+  }
+  if (!intervalFits(Instr)) {
+    std::fprintf(stderr,
+                 "bor-gen: --interval=%llu does not fit the %s framework "
+                 "(brr: a power of two in [2, 65536]; cbs, full: >= 1)\n",
+                 static_cast<unsigned long long>(Instr.Interval),
+                 frameworkName(Instr.Framework));
     return 2;
   }
 

@@ -21,6 +21,7 @@
 #include "opt/Passes.h"
 #include "opt/ProfileMap.h"
 #include "sim/Machine.h"
+#include "support/ParseNum.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -76,7 +77,8 @@ int main(int Argc, char **Argv) {
       }
       CollectOracle = true;
     } else if (Arg("--cold-divisor", Val)) {
-      Opts.ColdDivisor = std::strtoull(Val.c_str(), nullptr, 10);
+      Opts.ColdDivisor =
+          parseU64Flag("bor-opt", "--cold-divisor", Val.c_str());
       if (Opts.ColdDivisor == 0) {
         std::fprintf(stderr, "bor-opt: --cold-divisor must be positive\n");
         return 2;

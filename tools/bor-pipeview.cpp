@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "isa/Serialize.h"
+#include "support/ParseNum.h"
 #include "uarch/Pipeview.h"
 
 #include <cstdio>
@@ -24,9 +25,9 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
     if (std::strncmp(A, "--insts=", 8) == 0)
-      Insts = std::strtoull(A + 8, nullptr, 0);
+      Insts = parseU64Flag("bor-pipeview", "--insts", A + 8);
     else if (std::strncmp(A, "--skip=", 7) == 0)
-      Skip = std::strtoull(A + 7, nullptr, 0);
+      Skip = parseU64Flag("bor-pipeview", "--skip", A + 7);
     else if (std::strncmp(A, "--decider=", 10) == 0)
       Decider = A + 10;
     else if (A[0] != '-' && !Input)
@@ -40,6 +41,13 @@ int main(int Argc, char **Argv) {
   if (!Input) {
     std::fprintf(stderr, "usage: bor-pipeview program.borb [--insts=N] "
                          "[--skip=N] [--decider=lfsr|counter]\n");
+    return 2;
+  }
+  if (Decider != "lfsr" && Decider != "counter") {
+    std::fprintf(stderr,
+                 "bor-pipeview: --decider must be lfsr or counter, got "
+                 "'%s'\n",
+                 Decider.c_str());
     return 2;
   }
 

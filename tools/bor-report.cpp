@@ -19,6 +19,7 @@
 
 #include "exp/Manifest.h"
 #include "exp/Report.h"
+#include "support/ParseNum.h"
 #include "support/Path.h"
 
 #include <cstdio>
@@ -98,13 +99,7 @@ int main(int Argc, char **Argv) {
     } else if (const char *V = flagValue("--out", Argv, Argc, I)) {
       OutPath = V;
     } else if (const char *V = flagValue("--max-rows", Argv, Argc, I)) {
-      char *End = nullptr;
-      unsigned long N = std::strtoul(V, &End, 10);
-      if (End == V || *End != '\0') {
-        std::fprintf(stderr, "bor-report: bad --max-rows '%s'\n", V);
-        return 2;
-      }
-      Opt.MaxRows = N;
+      Opt.MaxRows = parseU64Flag("bor-report", "--max-rows", V);
     } else if (A[0] == '-') {
       std::fprintf(stderr, "bor-report: unknown flag '%s'\n", A);
       return usage();

@@ -36,7 +36,8 @@
 //                          library checkpoint at or before inst N, execute
 //                          the gap, and continue to --max-insts
 //
-// Exit status: 0 if the program halted, 1 otherwise.
+// Exit status: 0 if the program halted, 1 otherwise, 2 on a usage error
+// (an unknown flag or a numeric flag whose value is not a whole number).
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +46,7 @@
 #include "isa/Serialize.h"
 #include "sample/Checkpoint.h"
 #include "sim/Interpreter.h"
+#include "support/ParseNum.h"
 #include "telemetry/Counters.h"
 #include "telemetry/Telemetry.h"
 #include "uarch/Pipeline.h"
@@ -88,11 +90,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
     } else if (std::strncmp(A, "--decider=", 10) == 0) {
       Opt.Decider = A + 10;
     } else if (std::strncmp(A, "--seed=", 7) == 0) {
-      Opt.Seed = std::strtoull(A + 7, nullptr, 0);
+      Opt.Seed = parseU64Flag("bor-run", "--seed", A + 7);
     } else if (std::strncmp(A, "--max-insts=", 12) == 0) {
-      Opt.MaxInsts = std::strtoull(A + 12, nullptr, 0);
+      Opt.MaxInsts = parseU64Flag("bor-run", "--max-insts", A + 12);
     } else if (std::strncmp(A, "--print-insts=", 14) == 0) {
-      Opt.PrintInsts = std::strtoull(A + 14, nullptr, 0);
+      Opt.PrintInsts = parseU64Flag("bor-run", "--print-insts", A + 14);
     } else if (std::strncmp(A, "--trace=", 8) == 0) {
       Opt.TracePath = A + 8;
     } else if (std::strcmp(A, "--counters") == 0) {
@@ -102,15 +104,15 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
     } else if (std::strncmp(A, "--checkpoint=", 13) == 0) {
       Opt.CheckpointPath = A + 13;
     } else if (std::strncmp(A, "--checkpoint-at=", 16) == 0) {
-      Opt.CheckpointAt = std::strtoull(A + 16, nullptr, 0);
+      Opt.CheckpointAt = parseU64Flag("bor-run", "--checkpoint-at", A + 16);
     } else if (std::strcmp(A, "--resume") == 0) {
       Opt.Resume = true;
     } else if (std::strncmp(A, "--ckpt-dir=", 11) == 0) {
       Opt.CkptDir = A + 11;
     } else if (std::strncmp(A, "--ckpt-every=", 13) == 0) {
-      Opt.CkptEvery = std::strtoull(A + 13, nullptr, 0);
+      Opt.CkptEvery = parseU64Flag("bor-run", "--ckpt-every", A + 13);
     } else if (std::strncmp(A, "--resume-at=", 12) == 0) {
-      Opt.ResumeAt = std::strtoull(A + 12, nullptr, 0);
+      Opt.ResumeAt = parseU64Flag("bor-run", "--resume-at", A + 12);
       Opt.HasResumeAt = true;
     } else if (A[0] == '-') {
       return false;
