@@ -182,7 +182,7 @@ namespace {
 
 /// True if \p I ends a static basic block in the source linearization:
 /// any control instruction, plus marker (mirroring sim/Decode's
-/// DIF_EndsBlock so block ids line up with what the interpreter counts).
+/// DIF_EndsBlock).
 bool endsBlock(const Inst &I) {
   return I.isControl() || I.Op == Opcode::Marker;
 }

@@ -32,8 +32,8 @@
 /// brr decisions depend only on the decider stream, not on code placement.
 ///
 /// Everything structure-related that used to be re-derived independently
-/// (sim/Decode run lengths, ckpt/Bbv block keys, instr/Transform region
-/// shapes) now consumes this one IR.
+/// (sim/Decode run lengths, instr/Transform region shapes) now consumes
+/// this one IR.
 ///
 //===----------------------------------------------------------------------===//
 

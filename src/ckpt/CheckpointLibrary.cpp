@@ -15,10 +15,9 @@ using namespace bor::ckpt;
 
 namespace {
 
-// Version 2: BBV entries are keyed on cfg::BlockId instead of terminator
-// instruction indices. Version-1 images are rejected so stale on-disk
-// caches rebuild rather than silently mixing key spaces.
-constexpr uint32_t LibraryVersion = 2;
+// Bumped whenever the payload layout changes: images of any other version
+// are rejected, so a stale on-disk cache rebuilds once.
+constexpr uint32_t LibraryVersion = 3;
 constexpr char LibraryTag[5] = "CKPL";
 constexpr uint32_t MaxDeciderKindLen = 64;
 constexpr uint32_t MaxDeciderWords = 64;
@@ -140,31 +139,11 @@ CheckpointLibrary::build(const DecodedProgram &DP, const BrrUnitConfig &Brr,
     Lib.Markers.push_back({Id, Fn.stats().Insts + 1});
   });
 
-  std::vector<uint64_t> BlockCounts, PrevCounts;
-  if (Options.CollectBbv) {
-    BlockCounts.assign(DP.numInsts(), 0);
-    PrevCounts.assign(DP.numInsts(), 0);
-    Fn.setBlockProfile(BlockCounts.data());
-  }
-
   capture(0);
   while (!M.halted() && Fn.stats().Insts < Options.MaxInsts) {
     uint64_t Chunk =
         std::min(Options.EveryInsts, Options.MaxInsts - Fn.stats().Insts);
     Fn.run(Chunk, /*RequireHalt=*/false);
-    if (Options.CollectBbv) {
-      // Keyed on cfg::BlockId, not raw terminator indices: instBlockId is
-      // monotone in the instruction index and each CFG block holds at
-      // most one terminator, so entries stay sorted and collision-free
-      // while the keys survive any relinearization of the module.
-      Bbv V;
-      for (size_t I = 0; I != BlockCounts.size(); ++I)
-        if (BlockCounts[I] != PrevCounts[I]) {
-          V.emplace_back(DP.instBlockId(I), BlockCounts[I] - PrevCounts[I]);
-          PrevCounts[I] = BlockCounts[I];
-        }
-      Lib.Bbvs.push_back(std::move(V));
-    }
     // Full chunks end exactly on a period boundary (the engine honors its
     // budget precisely); a short final chunk captures the halt state.
     capture(Fn.stats().Insts);
@@ -285,15 +264,6 @@ std::vector<uint8_t> CheckpointLibrary::encode() const {
     putU32(Out, static_cast<uint32_t>(M.Id));
     putU64(Out, M.GlobalInst);
   }
-
-  putU64(Out, Bbvs.size());
-  for (const Bbv &V : Bbvs) {
-    putU32(Out, static_cast<uint32_t>(V.size()));
-    for (const auto &[Idx, N] : V) {
-      putU32(Out, Idx);
-      putU64(Out, N);
-    }
-  }
   return Out;
 }
 
@@ -382,28 +352,28 @@ bool CheckpointLibrary::decode(const std::vector<uint8_t> &Bytes,
     M.GlobalInst = R.u64();
     L.Markers.push_back(M);
   }
-
-  uint64_t NumBbvs = R.u64();
-  if (R.failed() || NumBbvs > R.remaining() + 1)
-    return fail(Error, "bad library bbv count");
-  L.Bbvs.reserve(NumBbvs);
-  for (uint64_t I = 0; I != NumBbvs; ++I) {
-    uint32_t NumEntries = R.u32();
-    if (R.failed() || NumEntries > R.remaining() / 12 + 1)
-      return fail(Error, "bad library bbv size");
-    Bbv V;
-    V.reserve(NumEntries);
-    for (uint32_t J = 0; J != NumEntries; ++J) {
-      uint32_t Idx = R.u32();
-      uint64_t N = R.u64();
-      V.emplace_back(Idx, N);
-    }
-    L.Bbvs.push_back(std::move(V));
-  }
   if (R.failed())
     return fail(Error, "truncated library payload");
   if (!R.atEnd())
     return fail(Error, "trailing bytes after library payload");
+
+  // The shape build() always produces, which the resume path relies on:
+  // markersIn binary-searches the markers, and a run ends on the final
+  // checkpoint's halt state.
+  const LibraryCheckpoint &Last = L.Checkpoints.back();
+  if (L.Checkpoints.front().InstsRetired != 0)
+    return fail(Error, "library checkpoint 0 is not at instruction 0");
+  if (Last.InstsRetired != L.TotalInsts || Last.Halted != L.StreamHalted)
+    return fail(Error, "library final checkpoint does not match the stream");
+  for (size_t I = 0; I + 1 < L.Checkpoints.size(); ++I)
+    if (L.Checkpoints[I].Halted)
+      return fail(Error, "library checkpoint halted before the last");
+  uint64_t PrevMarker = 0;
+  for (const LibraryMarker &M : L.Markers) {
+    if (M.GlobalInst <= PrevMarker || M.GlobalInst > L.TotalInsts)
+      return fail(Error, "library markers out of order or out of range");
+    PrevMarker = M.GlobalInst;
+  }
 
   Lib = std::move(L);
   return true;

@@ -16,18 +16,15 @@
 /// resume() COW-attaches a checkpoint's pages into a Machine and the run
 /// continues bit-identically to one that executed the prefix itself.
 ///
-/// The build pass also records every marker (so a resuming run can splice
-/// the markers its skipped spans would have executed) and, optionally, a
-/// per-period basic-block vector for the representative-region selector
-/// (ckpt/Bbv.h).
+/// The build pass also records every marker, so a resuming run can splice
+/// the markers its skipped spans would have executed.
 ///
 /// On disk a library travels as a "CKPL" section of the BORB v2 container
 /// next to its program, so `bor-run --ckpt-dir` and `bor-bench
 /// --ckpt-dir` reuse libraries across invocations. See docs/CHECKPOINTS.md.
 ///
-/// Payload layout (little-endian), version 2 (version 2 rekeyed BBV
-/// entries from terminator instruction indices to cfg::BlockIds; v1
-/// images are rejected and rebuilt):
+/// Payload layout (little-endian), version 3 (images of any other version
+/// are rejected, so a stale cache file rebuilds once):
 ///   u32 version | u64 periodInsts | u64 totalInsts | u8 streamHalted
 ///   | u32 deciderKindLen, kind bytes
 ///   | u64 numStorePages | numStorePages x 4096 page bytes
@@ -36,19 +33,23 @@
 ///        u32 numDeciderWords, u64 words,
 ///        u64 numPages, (u64 base, u64 storePageIndex)*)*
 ///   | u64 numMarkers | (u32 id, u64 globalInst)*
-///   | u64 numBbvs | (u32 numEntries, (u32 cfgBlockId, u64 count)*)*
+///
+/// decode() accepts only what build() can produce: checkpoint 0 at
+/// instruction 0, the last checkpoint at totalInsts with the stream's halt
+/// state, no earlier checkpoint halted, and markers strictly ascending
+/// within [1, totalInsts].
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BOR_CKPT_CHECKPOINTLIBRARY_H
 #define BOR_CKPT_CHECKPOINTLIBRARY_H
 
-#include "ckpt/Bbv.h"
 #include "ckpt/PageStore.h"
 #include "sim/Decode.h"
 #include "telemetry/Telemetry.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bor {
@@ -91,8 +92,6 @@ public:
     /// Stream budget for the build pass (checkpoints beyond it are
     /// simply absent, and resumes there fall back to execution).
     uint64_t MaxInsts = ~0ULL;
-    /// Collect per-period basic-block vectors for region selection.
-    bool CollectBbv = true;
   };
 
   /// Runs \p DP once under a fresh LFSR decider configured by \p Brr,
@@ -129,10 +128,6 @@ public:
   std::vector<LibraryMarker> markersIn(uint64_t Lo, uint64_t Hi) const;
   const std::vector<LibraryMarker> &markers() const { return Markers; }
 
-  const std::vector<Bbv> &periodBbvs() const { return Bbvs; }
-  /// Periods the build pass executed (including a final partial one).
-  size_t numPeriods() const { return Bbvs.size(); }
-
   uint64_t periodInsts() const { return PeriodInsts; }
   uint64_t totalInsts() const { return TotalInsts; }
   bool streamHalted() const { return StreamHalted; }
@@ -166,7 +161,6 @@ private:
   std::vector<PageStore::PageRef> StorePages;
   std::vector<LibraryCheckpoint> Checkpoints; ///< ascending InstsRetired
   std::vector<LibraryMarker> Markers;         ///< ascending GlobalInst
-  std::vector<Bbv> Bbvs;                      ///< one per period
   uint64_t DedupHits = 0;
 };
 

@@ -18,7 +18,6 @@
 #include "telemetry/Telemetry.h"
 #include "telemetry/TimeSeries.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,7 +49,6 @@ struct DriverOptions {
   std::string CountersOut;    ///< --counters-out: write the snapshot here
   bool CkptLibrary = false;   ///< --ckpt-library: COW-library fast-forward
   std::string CkptDir;        ///< --ckpt-dir: persist libraries here
-  unsigned CkptRegions = 0;   ///< --ckpt-regions: BBV representative phases
   std::string RunDir;         ///< --run-dir: write a self-describing manifest
   std::string Progress;       ///< --progress: auto|off|text|jsonl
   double CellTimeoutS = 0;    ///< --cell-timeout: per-cell wall-clock budget
@@ -76,21 +74,6 @@ const char *flagValue(const char *Flag, char **Argv, int Argc, int &I) {
   if (A[Len] == '\0' && I + 1 < Argc)
     return Argv[++I];
   return nullptr;
-}
-
-/// Strict non-negative double parse: the whole string must be a number.
-/// Returns false (leaving \p Out untouched) on empty input, trailing
-/// garbage, overflow or a negative value.
-bool parseF64(const char *V, double &Out) {
-  if (!V || *V == '\0')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double Parsed = std::strtod(V, &End);
-  if (errno == ERANGE || End == V || *End != '\0' || Parsed < 0)
-    return false;
-  Out = Parsed;
-  return true;
 }
 
 /// Shared flags of bor-bench and the per-figure wrappers. Returns false
@@ -184,19 +167,6 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.CkptLibrary = true;
     return true;
   }
-  if (const char *V = flagValue("--ckpt-regions", Argv, Argc, I)) {
-    uint64_t N = 0;
-    if (!parseU64(V, N) || N == 0 || N > 1u << 20) {
-      std::fprintf(stderr,
-                   "bor-bench: --ckpt-regions needs a whole number >= 1, "
-                   "got '%s'\n",
-                   V);
-      std::exit(2);
-    }
-    Opt.CkptRegions = static_cast<unsigned>(N);
-    Opt.CkptLibrary = true;
-    return true;
-  }
   if (const char *V = flagValue("--trace", Argv, Argc, I)) {
     Opt.TracePath = V;
     return true;
@@ -234,7 +204,8 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     return true;
   }
   if (const char *V = flagValue("--cell-timeout", Argv, Argc, I)) {
-    if (!parseF64(V, Opt.CellTimeoutS) || Opt.CellTimeoutS <= 0) {
+    Opt.CellTimeoutS = parseF64Flag("bor-bench", "--cell-timeout", V);
+    if (Opt.CellTimeoutS <= 0) {
       std::fprintf(stderr,
                    "bor-bench: --cell-timeout needs seconds > 0, got "
                    "'%s'\n",
@@ -361,8 +332,8 @@ int writeTelemetryOutputs(const DriverOptions &Opt,
 int checkPlan(const DriverOptions &Opt) {
   if (Opt.CkptLibrary && !Opt.Sample) {
     std::fprintf(stderr,
-                 "bor-bench: --ckpt-library/--ckpt-dir/--ckpt-regions only "
-                 "apply to sampled runs; add --sample\n");
+                 "bor-bench: --ckpt-library/--ckpt-dir only apply to "
+                 "sampled runs; add --sample\n");
     return 2;
   }
   if (!Opt.Sample || Opt.Plan.valid())
@@ -416,7 +387,6 @@ int runOne(const std::string &Name, const DriverOptions &Opt,
   ExpOpt.Plan = Opt.Plan;
   ExpOpt.Telemetry = Telemetry;
   ExpOpt.CkptPool = CkptPool;
-  ExpOpt.CkptRegions = Opt.CkptRegions;
   ExperimentSpec Spec = Registry.create(Name, ExpOpt);
 
   std::vector<ResultSink *> Sinks;
@@ -523,7 +493,6 @@ int runAll(const std::vector<std::string> &Experiments,
   Manifest.Sample = Opt.Sample;
   Manifest.Plan = Opt.Plan;
   Manifest.CkptLibrary = Opt.CkptLibrary;
-  Manifest.CkptRegions = Opt.CkptRegions;
 
   // One pool for the whole invocation: experiments sharing a (program,
   // decider, period) key build its library exactly once.
@@ -569,8 +538,7 @@ int benchMain(int Argc, char **Argv) {
                    "                 [--no-table] [--scale N] [--sample]\n"
                    "                 [--sample-period N] [--sample-warm N] "
                    "[--sample-measure N]\n"
-                   "                 [--ckpt-library] [--ckpt-dir DIR] "
-                   "[--ckpt-regions N]\n"
+                   "                 [--ckpt-library] [--ckpt-dir DIR]\n"
                    "                 [--trace PATH] [--flamegraph PATH] "
                    "[--counters] [--counters-out PATH]\n"
                    "                 [--run-dir DIR] [--update-baselines] "
@@ -630,8 +598,7 @@ int experimentMain(const char *Name, int Argc, char **Argv) {
                    "[--no-table] [--scale N]\n"
                    "       [--sample] [--sample-period N] [--sample-warm N] "
                    "[--sample-measure N]\n"
-                   "       [--ckpt-library] [--ckpt-dir DIR] "
-                   "[--ckpt-regions N]\n"
+                   "       [--ckpt-library] [--ckpt-dir DIR]\n"
                    "       [--trace PATH] [--flamegraph PATH] [--counters] "
                    "[--counters-out PATH]\n"
                    "       [--run-dir DIR] [--update-baselines] "

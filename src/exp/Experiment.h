@@ -44,7 +44,9 @@ using ParamSet = std::vector<std::pair<std::string, std::string>>;
 
 /// Global knobs a factory may use to shrink an experiment for smoke tests
 /// and CI (workload sizes divide by Scale; the grid shape is unchanged so
-/// records stay comparable across scales).
+/// records stay comparable across scales). Timing factories capture the
+/// whole value into their run functors and hand it to the harness drivers
+/// (exp/Harness.h), which pick the engine from it.
 struct ExperimentOptions {
   uint64_t Scale = 1;
 
@@ -54,10 +56,9 @@ struct ExperimentOptions {
   bool Sample = false;
   SamplingPlan Plan;
 
-  /// Observability sink (bor-bench --trace): factories capture it into
-  /// their run functors and hand it down to the harness drivers, which
-  /// emit sampled-phase spans through it. Null when telemetry is off; the
-  /// sink must outlive every cell run.
+  /// Observability sink (bor-bench --trace): the harness drivers emit
+  /// sampled-phase spans through it. Null when telemetry is off; the sink
+  /// must outlive every cell run.
   const telemetry::TelemetrySink *Telemetry = nullptr;
 
   /// Checkpoint-library mode (bor-bench --ckpt-library): sampled cells
@@ -67,17 +68,6 @@ struct ExperimentOptions {
   /// build — and must outlive every cell run. Null means plain sampling;
   /// ignored when Sample is off.
   ckpt::LibraryPool *CkptPool = nullptr;
-
-  /// Representative-region mode (bor-bench --ckpt-regions=N): measure at
-  /// most N distinct program phases per cell, selected from the library's
-  /// per-period basic-block vectors, weighting each by the periods it
-  /// represents. 0 (the default) measures every period exactly as plain
-  /// sampling does. Requires CkptPool.
-  unsigned CkptRegions = 0;
-
-  /// The plan when sampling is on, nullptr otherwise — the form the
-  /// harness drivers take.
-  const SamplingPlan *samplePlan() const { return Sample ? &Plan : nullptr; }
 };
 
 /// One registered experiment, fully described.

@@ -95,11 +95,6 @@ constexpr MicroArm Fig13Arms[] = {
 
 ExperimentSpec makeFig13(const ExperimentOptions &O) {
   const size_t Chars = scaledChars(O);
-  const bool Sample = O.Sample;
-  const SamplingPlan Plan = O.Plan;
-  const telemetry::TelemetrySink *Tel = O.Telemetry;
-  ckpt::LibraryPool *Pool = O.CkptPool;
-  const unsigned Regions = O.CkptRegions;
   ExperimentSpec S;
   char Title[256];
   std::snprintf(Title, sizeof(Title),
@@ -113,9 +108,8 @@ ExperimentSpec makeFig13(const ExperimentOptions &O) {
             "ones above ~64; Full-Duplication lowers both.";
 
   auto Base = std::make_shared<uint64_t>(0);
-  S.Setup = [Base, Chars, Sample, Plan, Tel, Pool, Regions] {
-    *Base = runMicrobench(InstrumentationConfig(), Chars, PipelineConfig(),
-                          Sample ? &Plan : nullptr, Tel, Pool, Regions)
+  S.Setup = [Base, Chars, O] {
+    *Base = runMicrobench(InstrumentationConfig(), Chars, PipelineConfig(), O)
                 .RoiCycles;
   };
 
@@ -126,14 +120,12 @@ ExperimentSpec makeFig13(const ExperimentOptions &O) {
           {{"series", A.Name}, {"interval", std::to_string(Interval)}});
 
   size_t NumIntervals = Intervals.size();
-  S.Run = [Base, Chars, Intervals, NumIntervals, Sample, Plan, Tel, Pool,
-           Regions](const ParamSet &, size_t Index) {
+  S.Run = [Base, Chars, Intervals, NumIntervals, O](const ParamSet &,
+                                                    size_t Index) {
     const MicroArm &A = Fig13Arms[Index / NumIntervals];
     uint64_t Interval = Intervals[Index % NumIntervals];
-    MicroRun Run =
-        runMicrobench(microConfig(A.F, A.Dup, Interval, A.Body), Chars,
-                      PipelineConfig(), Sample ? &Plan : nullptr, Tel, Pool,
-                      Regions);
+    MicroRun Run = runMicrobench(microConfig(A.F, A.Dup, Interval, A.Body),
+                                 Chars, PipelineConfig(), O);
     RunRecord R;
     R.param("series", A.Name);
     R.param("interval", std::to_string(Interval));
@@ -182,11 +174,6 @@ constexpr Fig14Arm Fig14Arms[] = {
 
 ExperimentSpec makeFig14(const ExperimentOptions &O) {
   const size_t Chars = scaledChars(O);
-  const bool Sample = O.Sample;
-  const SamplingPlan Plan = O.Plan;
-  const telemetry::TelemetrySink *Tel = O.Telemetry;
-  ckpt::LibraryPool *Pool = O.CkptPool;
-  const unsigned Regions = O.CkptRegions;
   ExperimentSpec S;
   S.Title = "Figure 14 - average added cycles per sampling site "
             "(Full-Duplication)";
@@ -197,10 +184,9 @@ ExperimentSpec makeFig14(const ExperimentOptions &O) {
             "adds ~4.3 cycles/site.";
 
   auto Baseline = std::make_shared<MicroRun>();
-  S.Setup = [Baseline, Chars, Sample, Plan, Tel, Pool, Regions] {
-    *Baseline = runMicrobench(InstrumentationConfig(), Chars,
-                              PipelineConfig(), Sample ? &Plan : nullptr,
-                              Tel, Pool, Regions);
+  S.Setup = [Baseline, Chars, O] {
+    *Baseline =
+        runMicrobench(InstrumentationConfig(), Chars, PipelineConfig(), O);
   };
 
   struct Def {
@@ -220,14 +206,11 @@ ExperimentSpec makeFig14(const ExperimentOptions &O) {
     S.Cells.push_back({{"series", D.Arm->Name},
                        {"interval", std::to_string(D.Interval)}});
 
-  S.Run = [Baseline, Chars, Defs, Sample, Plan, Tel, Pool,
-           Regions](const ParamSet &, size_t Index) {
+  S.Run = [Baseline, Chars, Defs, O](const ParamSet &, size_t Index) {
     const Def &D = (*Defs)[Index];
     const Fig14Arm &A = *D.Arm;
-    MicroRun Run =
-        runMicrobench(microConfig(A.F, A.Dup, D.Interval, A.Body), Chars,
-                      PipelineConfig(), Sample ? &Plan : nullptr, Tel, Pool,
-                      Regions);
+    MicroRun Run = runMicrobench(microConfig(A.F, A.Dup, D.Interval, A.Body),
+                                 Chars, PipelineConfig(), O);
     double PerSite = (static_cast<double>(Run.RoiCycles) -
                       static_cast<double>(Baseline->RoiCycles)) /
                      static_cast<double>(Baseline->DynamicSiteVisits);
@@ -247,11 +230,6 @@ ExperimentSpec makeFig14(const ExperimentOptions &O) {
 
 ExperimentSpec makeFig02(const ExperimentOptions &O) {
   const size_t Chars = scaledChars(O);
-  const bool Sample = O.Sample;
-  const SamplingPlan Plan = O.Plan;
-  const telemetry::TelemetrySink *Tel = O.Telemetry;
-  ckpt::LibraryPool *Pool = O.CkptPool;
-  const unsigned Regions = O.CkptRegions;
   ExperimentSpec S;
   char Title[160];
   std::snprintf(Title, sizeof(Title),
@@ -264,9 +242,8 @@ ExperimentSpec makeFig02(const ExperimentOptions &O) {
             "brr eliminates.";
 
   auto Base = std::make_shared<uint64_t>(0);
-  S.Setup = [Base, Chars, Sample, Plan, Tel, Pool, Regions] {
-    *Base = runMicrobench(InstrumentationConfig(), Chars, PipelineConfig(),
-                          Sample ? &Plan : nullptr, Tel, Pool, Regions)
+  S.Setup = [Base, Chars, O] {
+    *Base = runMicrobench(InstrumentationConfig(), Chars, PipelineConfig(), O)
                 .RoiCycles;
   };
 
@@ -278,22 +255,20 @@ ExperimentSpec makeFig02(const ExperimentOptions &O) {
       S.Cells.push_back({{"framework", frameworkName(F)},
                          {"interval", std::to_string(Interval)}});
 
-  S.Run = [Base, Chars, Sample, Plan, Tel, Pool, Regions](const ParamSet &,
-                                                          size_t Index) {
+  S.Run = [Base, Chars, O](const ParamSet &, size_t Index) {
     const SamplingFramework Frameworks[] = {SamplingFramework::CounterBased,
                                             SamplingFramework::BrrBased};
     const uint64_t Intervals[] = {16, 128, 1024};
     SamplingFramework F = Frameworks[Index / 3];
     uint64_t Interval = Intervals[Index % 3];
-    const SamplingPlan *P = Sample ? &Plan : nullptr;
     uint64_t FwOnly =
         runMicrobench(
             microConfig(F, DuplicationMode::NoDuplication, Interval, false),
-            Chars, PipelineConfig(), P, Tel, Pool, Regions)
+            Chars, PipelineConfig(), O)
             .RoiCycles;
     MicroRun Total = runMicrobench(
         microConfig(F, DuplicationMode::NoDuplication, Interval, true),
-        Chars, PipelineConfig(), P, Tel, Pool, Regions);
+        Chars, PipelineConfig(), O);
     double TotalPct = overheadPct(Total.RoiCycles, *Base);
     double FixedPct = overheadPct(FwOnly, *Base);
     RunRecord R;
@@ -317,19 +292,15 @@ struct AppRun {
   PipelineStats Stats;
 };
 
-AppRun appRoi(AppConfig C, SamplingFramework F,
-              const SamplingPlan *Plan = nullptr,
-              const telemetry::TelemetrySink *Tel = nullptr,
-              ckpt::LibraryPool *Pool = nullptr, unsigned Regions = 0) {
+AppRun appRoi(AppConfig C, SamplingFramework F, const ExperimentOptions &O) {
   C.Instr.Framework = F;
   C.Instr.Dup = DuplicationMode::FullDuplication;
   C.Instr.Interval = 1024;
   AppProgram P = buildApp(C);
   // One decoded image per cell, shared by the sampled and full-run paths.
   DecodedProgram Dec(P.Prog);
-  if (Plan) {
-    SampledResult SR = runSampledMaybeLibrary(Dec, *Plan, PipelineConfig(),
-                                              Tel, Pool, Regions);
+  if (O.Sample) {
+    SampledResult SR = runSampledMaybeLibrary(Dec, PipelineConfig(), O);
     if (SR.NumIntervals != 0 && SR.Markers.size() >= 2) {
       AppRun R;
       R.RoiCycles =
@@ -343,17 +314,12 @@ AppRun appRoi(AppConfig C, SamplingFramework F,
     // Stream too short for a sample: fall through to a full run.
   }
   Pipeline Pipe(Dec, PipelineConfig());
-  Pipe.setTelemetry(Tel);
+  Pipe.setTelemetry(O.Telemetry);
   RunResult Result = Pipe.run(1ULL << 40);
   return {Result.roiCycles(), Result.Stats};
 }
 
 ExperimentSpec makeFig12(const ExperimentOptions &O) {
-  const bool Sample = O.Sample;
-  const SamplingPlan Plan = O.Plan;
-  const telemetry::TelemetrySink *Tel = O.Telemetry;
-  ckpt::LibraryPool *Pool = O.CkptPool;
-  const unsigned Regions = O.CkptRegions;
   ExperimentSpec S;
   S.Title = "Figure 12 - sampling framework overhead on application "
             "analogues\n(Full-Duplication, sampling period 1024, timing "
@@ -368,15 +334,11 @@ ExperimentSpec makeFig12(const ExperimentOptions &O) {
   for (const AppConfig &App : *Apps)
     S.Cells.push_back({{"benchmark", App.Name}});
 
-  S.Run = [Apps, Sample, Plan, Tel, Pool, Regions](const ParamSet &,
-                                                   size_t Index) {
+  S.Run = [Apps, O](const ParamSet &, size_t Index) {
     const AppConfig &App = (*Apps)[Index];
-    const SamplingPlan *P = Sample ? &Plan : nullptr;
-    AppRun Base = appRoi(App, SamplingFramework::None, P, Tel, Pool, Regions);
-    AppRun Cbs =
-        appRoi(App, SamplingFramework::CounterBased, P, Tel, Pool, Regions);
-    AppRun Brr =
-        appRoi(App, SamplingFramework::BrrBased, P, Tel, Pool, Regions);
+    AppRun Base = appRoi(App, SamplingFramework::None, O);
+    AppRun Cbs = appRoi(App, SamplingFramework::CounterBased, O);
+    AppRun Brr = appRoi(App, SamplingFramework::BrrBased, O);
     RunRecord R;
     R.param("benchmark", App.Name);
     R.metric("baseline_cycles", Base.RoiCycles);
@@ -409,11 +371,6 @@ ExperimentSpec makeFig12(const ExperimentOptions &O) {
 
 ExperimentSpec makeAblation(const ExperimentOptions &O) {
   const size_t Chars = scaledChars(O);
-  const bool Sample = O.Sample;
-  const SamplingPlan Plan = O.Plan;
-  const telemetry::TelemetrySink *Tel = O.Telemetry;
-  ckpt::LibraryPool *Pool = O.CkptPool;
-  const unsigned Regions = O.CkptRegions;
   ExperimentSpec S;
   S.Title = "Ablation - branch-on-random design decisions "
             "(No-Duplication, framework-only)";
@@ -440,14 +397,11 @@ ExperimentSpec makeAblation(const ExperimentOptions &O) {
   M->Trap.BrrTrapCycles = 300; // Section 3.4's SIGILL emulation fallback
   M->Oracle.PerfectBranchPrediction = true;
 
-  S.Setup = [M, Chars, Sample, Plan, Tel, Pool, Regions] {
-    const SamplingPlan *P = Sample ? &Plan : nullptr;
-    M->Base = runMicrobench(InstrumentationConfig(), Chars, M->Default, P,
-                            Tel, Pool, Regions)
-                  .RoiCycles;
-    M->OracleBase = runMicrobench(InstrumentationConfig(), Chars, M->Oracle,
-                                  P, Tel, Pool, Regions)
-                        .RoiCycles;
+  S.Setup = [M, Chars, O] {
+    M->Base =
+        runMicrobench(InstrumentationConfig(), Chars, M->Default, O).RoiCycles;
+    M->OracleBase =
+        runMicrobench(InstrumentationConfig(), Chars, M->Oracle, O).RoiCycles;
   };
 
   struct Def {
@@ -513,12 +467,9 @@ ExperimentSpec makeAblation(const ExperimentOptions &O) {
                        {"arm", D.Arm},
                        {"interval", std::to_string(D.Interval)}});
 
-  S.Run = [M, Defs, Chars, Sample, Plan, Tel, Pool, Regions](const ParamSet &,
-                                                             size_t Index) {
+  S.Run = [M, Defs, Chars, O](const ParamSet &, size_t Index) {
     const Def &D = (*Defs)[Index];
-    MicroRun Run = runMicrobench(D.Instr, Chars, *D.Machine,
-                                 Sample ? &Plan : nullptr, Tel, Pool,
-                                 Regions);
+    MicroRun Run = runMicrobench(D.Instr, Chars, *D.Machine, O);
     uint64_t Base = D.OracleBaseline ? M->OracleBase : M->Base;
     RunRecord R;
     R.param("group", D.Group);

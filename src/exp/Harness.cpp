@@ -7,6 +7,7 @@
 #include "exp/Harness.h"
 
 #include "ckpt/LibraryPool.h"
+#include "exp/Experiment.h"
 #include "profile/Accuracy.h"
 #include "profile/SamplingPolicy.h"
 #include "support/Rng.h"
@@ -93,37 +94,22 @@ PipelineStats scaleSampledStats(const SampledResult &SR) {
 
 } // namespace
 
-/// One sampled execution, resolving the engine: plain runSampled, or the
-/// checkpoint-library path (exact resume, optionally restricted to \p
-/// CkptRegions representative phases) when a pool is attached. Shared by
-/// runMicrobench and the fig12 application driver so every timed
-/// experiment gets library support through one switch.
 SampledResult runSampledMaybeLibrary(const DecodedProgram &Dec,
-                                     const SamplingPlan &Plan,
                                      const PipelineConfig &Machine,
-                                     const telemetry::TelemetrySink *Telemetry,
-                                     ckpt::LibraryPool *CkptPool,
-                                     unsigned CkptRegions) {
-  if (!CkptPool)
-    return runSampled(Dec, Plan, Machine, /*Decider=*/nullptr,
-                      /*MaxInsts=*/~0ULL, Telemetry);
-  std::shared_ptr<const ckpt::CheckpointLibrary> Lib =
-      CkptPool->getOrBuild(Dec, Machine.Brr, Plan.PeriodInsts, Telemetry);
-  if (CkptRegions != 0) {
-    ckpt::RegionSelection Sel =
-        ckpt::selectRegions(Lib->periodBbvs(), CkptRegions);
-    if (!Sel.Reps.empty())
-      return runSampledFromLibrary(Dec, *Lib, Plan, Machine, ~0ULL,
-                                   Telemetry, &Sel);
-  }
-  return runSampledFromLibrary(Dec, *Lib, Plan, Machine, ~0ULL, Telemetry);
+                                     const ExperimentOptions &O) {
+  assert(O.Sample && "sampled execution without --sample");
+  if (!O.CkptPool)
+    return runSampled(Dec, O.Plan, Machine, /*Decider=*/nullptr,
+                      /*MaxInsts=*/~0ULL, O.Telemetry);
+  std::shared_ptr<const ckpt::CheckpointLibrary> Lib = O.CkptPool->getOrBuild(
+      Dec, Machine.Brr, O.Plan.PeriodInsts, O.Telemetry);
+  return runSampledFromLibrary(Dec, *Lib, O.Plan, Machine, ~0ULL,
+                               O.Telemetry);
 }
 
 MicroRun runMicrobench(const InstrumentationConfig &Instr, size_t NumChars,
                        const PipelineConfig &Machine,
-                       const SamplingPlan *Plan,
-                       const telemetry::TelemetrySink *Telemetry,
-                       ckpt::LibraryPool *CkptPool, unsigned CkptRegions) {
+                       const ExperimentOptions &O) {
   MicrobenchConfig C;
   C.Text.NumChars = NumChars;
   C.Instr = Instr;
@@ -136,9 +122,8 @@ MicroRun runMicrobench(const InstrumentationConfig &Instr, size_t NumChars,
   // image.
   DecodedProgram Dec(MB.Prog);
 
-  if (Plan) {
-    SampledResult SR = runSampledMaybeLibrary(Dec, *Plan, Machine, Telemetry,
-                                              CkptPool, CkptRegions);
+  if (O.Sample) {
+    SampledResult SR = runSampledMaybeLibrary(Dec, Machine, O);
     if (SR.NumIntervals != 0) {
       Run.Sampled = true;
       Run.Stats = scaleSampledStats(SR);
@@ -156,7 +141,7 @@ MicroRun runMicrobench(const InstrumentationConfig &Instr, size_t NumChars,
   }
 
   Pipeline Pipe(Dec, Machine);
-  Pipe.setTelemetry(Telemetry);
+  Pipe.setTelemetry(O.Telemetry);
   RunResult Result = Pipe.run(1ULL << 40);
   Run.Stats = Result.Stats;
   if (Result.Markers.size() == 2)

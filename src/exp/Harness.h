@@ -30,11 +30,9 @@
 
 namespace bor {
 
-namespace ckpt {
-class LibraryPool;
-} // namespace ckpt
-
 namespace exp {
+
+struct ExperimentOptions;
 
 /// Accuracy of the three Figure-9/10 sampling techniques on one benchmark
 /// stream. The LFSR technique is run with several seeds in the same pass
@@ -71,38 +69,26 @@ struct MicroRun {
   double MeasureMs = 0;
 };
 
-/// Runs the microbenchmark through the full detailed Pipeline, or — when
-/// \p Plan is non-null — through the SampledRunner, which executes the
-/// same instruction stream but times only the plan's periodic intervals.
-/// \p Telemetry (optional) enables trace spans and detail events in
-/// whichever engine runs.
-///
-/// \p CkptPool (sampled mode only): resume fast-forward spans from the
-/// pool's shared COW checkpoint library for this cell's program instead of
-/// re-executing them; the result is field-identical to plain sampling.
-/// \p CkptRegions additionally restricts measurement to at most that many
-/// BBV-selected representative program phases (a deterministic estimate).
+/// Runs the microbenchmark on \p Machine through the full detailed
+/// Pipeline, or — when \p O.Sample is set — through
+/// runSampledMaybeLibrary, which executes the same instruction stream but
+/// times only the plan's periodic intervals. \p O.Telemetry (optional)
+/// enables trace spans and detail events in whichever engine runs.
 MicroRun runMicrobench(const InstrumentationConfig &Instr, size_t NumChars,
-                       const PipelineConfig &Machine = PipelineConfig(),
-                       const SamplingPlan *Plan = nullptr,
-                       const telemetry::TelemetrySink *Telemetry = nullptr,
-                       ckpt::LibraryPool *CkptPool = nullptr,
-                       unsigned CkptRegions = 0);
+                       const PipelineConfig &Machine,
+                       const ExperimentOptions &O);
 
 InstrumentationConfig microConfig(SamplingFramework F, DuplicationMode Dup,
                                   uint64_t Interval, bool IncludeBody);
 
-/// One sampled execution of \p Dec: plain runSampled, or — when \p
-/// CkptPool is set — the checkpoint-library path (shared-prefix resume;
-/// with \p CkptRegions != 0, measurement restricted to that many
-/// BBV-selected representative phases). The engine switch every timed
-/// experiment driver routes through.
+/// One sampled execution of \p Dec under \p O.Plan (\p O.Sample must be
+/// set): plain runSampled, or — when \p O.CkptPool is set — a resume of
+/// every fast-forward span from the pool's shared COW checkpoint library
+/// for this program, whose result is field-identical to plain sampling.
+/// The engine switch every timed experiment driver routes through.
 SampledResult runSampledMaybeLibrary(const DecodedProgram &Dec,
-                                     const SamplingPlan &Plan,
                                      const PipelineConfig &Machine,
-                                     const telemetry::TelemetrySink *Telemetry,
-                                     ckpt::LibraryPool *CkptPool,
-                                     unsigned CkptRegions);
+                                     const ExperimentOptions &O);
 
 /// The character count used by the timing figures. The paper processes
 /// half a million characters; that is also affordable here.

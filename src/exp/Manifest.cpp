@@ -79,8 +79,6 @@ bool bor::exp::writeManifest(const std::string &Dir, const ManifestInfo &Info,
   Config.fieldRaw("sample_warm", jsonNumber(Info.Plan.WarmupInsts));
   Config.fieldRaw("sample_measure", jsonNumber(Info.Plan.MeasureInsts));
   Config.fieldRaw("ckpt_library", Info.CkptLibrary ? "true" : "false");
-  Config.fieldRaw("ckpt_regions",
-                  jsonNumber(static_cast<uint64_t>(Info.CkptRegions)));
   if (Info.CellsTimedOut) {
     Config.fieldRaw("partial", "true");
     Config.fieldRaw("cells_timedout",

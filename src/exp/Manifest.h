@@ -47,7 +47,6 @@ struct ManifestInfo {
   bool Sample = false;
   SamplingPlan Plan;
   bool CkptLibrary = false;
-  unsigned CkptRegions = 0;
 
   /// Degradation accounting, summed over the run's experiments; emitted
   /// only when the run was partial (any cell timed out).

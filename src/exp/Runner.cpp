@@ -91,8 +91,9 @@ struct TimedAttempt {
   RunRecord Record;
 };
 
-/// Runs \p Fn on a detached thread and waits up to \p TimeoutS seconds.
-/// Returns true (with \p Out filled) when the cell finished in time.
+/// Runs \p Fn on a detached thread and waits up to \p TimeoutS seconds,
+/// or with no deadline when the deadline would not fit the clock. Returns
+/// true (with \p Out filled) when the cell finished in time.
 bool runAbandonable(std::function<RunRecord()> Fn, double TimeoutS,
                     RunRecord &Out) {
   auto State = std::make_shared<TimedAttempt>();
@@ -105,12 +106,23 @@ bool runAbandonable(std::function<RunRecord()> Fn, double TimeoutS,
     State->CV.notify_all();
   }).detach();
 
+  using Clock = std::chrono::steady_clock;
   std::unique_lock<std::mutex> Lock(State->M);
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::duration<double>(TimeoutS));
-  if (State->CV.wait_until(Lock, Deadline,
-                           [&State] { return State->Done; })) {
+  auto IsDone = [&State] { return State->Done; };
+  const Clock::time_point Now = Clock::now();
+  const std::chrono::duration<double> Budget(TimeoutS);
+  // Casting a budget past the clock's range to its integer ticks is
+  // undefined (on x86 the deadline lands in the past), so such a budget
+  // means no deadline at all. Half the remaining range (~146 years) keeps
+  // the double's rounding to ticks clear of the edge.
+  bool Finished = true;
+  if (Budget < (Clock::time_point::max() - Now) / 2)
+    Finished = State->CV.wait_until(
+        Lock, Now + std::chrono::duration_cast<Clock::duration>(Budget),
+        IsDone);
+  else
+    State->CV.wait(Lock, IsDone);
+  if (Finished) {
     Out = std::move(State->Record);
     return true;
   }

@@ -7,8 +7,8 @@
 /// \file
 /// The profile representation the layout optimizer consumes: execution
 /// counts (and, when known, conditional-branch taken counts) keyed on
-/// cfg::BlockId — the same id space sim/Decode derives and ckpt/Bbv keys
-/// on, so every profile source in the repo speaks one language.
+/// cfg::BlockId — the id space cfg::buildModule assigns — so every
+/// profile source in the repo speaks one language.
 ///
 /// Profiles come from three places:
 ///  * collectOracleProfile() steps the interpreter and counts every block

@@ -83,7 +83,7 @@ struct LibraryRunStats {
   uint64_t SkippedInsts = 0; ///< instructions those spans did not execute
 };
 
-/// End-of-run counter publication shared by every sampled mode. \p
+/// End-of-run counter publication for plain and library-backed runs. \p
 /// ExecutedFf is the fast-forward work that actually ran — a library
 /// resume skips it, which is exactly the win the ckpt_perf_smoke gate
 /// measures through this counter.
@@ -313,107 +313,6 @@ SampledResult runSampledLoop(const DecodedProgram &DP, Machine &M,
   return Result;
 }
 
-/// Region mode: measure only each representative period, weight its
-/// interval by the periods it stands for. Deterministic, but an estimate
-/// (see runSampledFromLibrary's contract).
-SampledResult runSampledRegions(const DecodedProgram &DP,
-                                const ckpt::CheckpointLibrary &Lib,
-                                const ckpt::RegionSelection &Regions,
-                                Machine &M, const SamplingPlan &Plan,
-                                const PipelineConfig &Config,
-                                BrrDecider &Decider,
-                                const telemetry::TelemetrySink *Telemetry,
-                                LibraryRunStats &LS) {
-  SampledResult Result;
-  Result.Plan = Plan;
-
-  telemetry::TraceWriter *TW = Telemetry ? Telemetry->Trace : nullptr;
-  telemetry::PhaseTimer WarmTimer, MeasureTimer;
-
-  // Region mode's series holds one entry per *measured* representative
-  // (weights apply to the aggregate stats, not the sequence); FfInsts
-  // stays 0 — region mode never executes fast-forward.
-  telemetry::TimeSeries *TS = Telemetry ? Telemetry->Series : nullptr;
-  std::vector<telemetry::IntervalSample> Series;
-
-  Interpreter Fn(DP, M, Decider, /*LoadImage=*/false);
-  MicroarchState Uarch(Config);
-  FunctionalWarmer Warmer(Uarch, Config);
-
-  // The library recorded every marker with its exact global position
-  // during the build pass; no marker hook is installed, so the measured
-  // snippets do not record duplicates.
-  for (const ckpt::LibraryMarker &LM : Lib.markers())
-    Result.Markers.push_back({LM.Id, LM.GlobalInst});
-
-  uint64_t ExecutedMeasured = 0;
-  for (uint32_t Rep : Regions.Reps) {
-    const ckpt::LibraryCheckpoint *C =
-        Lib.checkpointAt(static_cast<uint64_t>(Rep) * Lib.periodInsts());
-    if (!C || C->Halted)
-      continue; // defensive: selections derive from the library's periods
-    std::string Error;
-    bool Ok = Lib.resume(*C, M, Decider, Error);
-    assert(Ok && "library resume failed after up-front kind check");
-    (void)Ok;
-    ++LS.Resumes;
-
-    telemetry::TraceSpan Span(
-        TW, "region", "sample",
-        {telemetry::TraceArg::num("period", static_cast<uint64_t>(Rep))});
-    WarmTimer.start();
-    for (uint64_t I = 0; I != Plan.WarmupInsts && !M.halted(); ++I) {
-      Warmer.observe(Fn.step());
-      ++Result.WarmedInsts;
-    }
-    WarmTimer.stop();
-    if (M.halted())
-      continue; // the final (partial) period may end inside the warmup
-
-    MeasureTimer.start();
-    Pipeline Pipe(DP, M, Uarch, Config, Decider);
-    Pipe.setTelemetry(Telemetry);
-    Pipe.run(Plan.DetailedWarmupInsts, /*RequireHalt=*/false);
-    PipelineStats Before = Pipe.stats();
-    RunResult R = Pipe.run(Plan.DetailedWarmupInsts + Plan.MeasureInsts,
-                           /*RequireHalt=*/false);
-    MeasureTimer.stop();
-    Result.PrerollInsts += Before.Insts;
-
-    PipelineStats D = statsDelta(R.Stats, Before);
-    if (D.Insts == 0)
-      continue;
-    ++Result.NumIntervals;
-    ExecutedMeasured += D.Insts;
-    uint64_t Weight = Regions.weightOf(Rep);
-    Result.MeasuredInsts += Weight * D.Insts;
-    telemetry::IntervalSample S;
-    for (uint64_t W = 0; W != Weight; ++W)
-      S = recordInterval(Result, D);
-    if (TS)
-      Series.push_back(S);
-  }
-
-  // The library's stream is the run: totals come from its record, and
-  // everything the representatives did not execute counts as skipped
-  // fast-forward.
-  Result.TotalInsts = Lib.totalInsts();
-  Result.Halted = Lib.streamHalted();
-  uint64_t Executed =
-      Result.WarmedInsts + Result.PrerollInsts + ExecutedMeasured;
-  Result.FastForwardInsts =
-      Result.TotalInsts > Executed ? Result.TotalInsts - Executed : 0;
-  LS.SkippedInsts += Result.FastForwardInsts;
-  Result.WarmMs = WarmTimer.totalMs();
-  Result.MeasureMs = MeasureTimer.totalMs();
-
-  if (TS)
-    TS->record(std::move(Series));
-
-  publishSampleCounters(Result, /*ExecutedFf=*/0, Uarch);
-  return Result;
-}
-
 } // namespace
 
 SampledResult bor::runSampled(const DecodedProgram &DP, Machine &M,
@@ -464,8 +363,7 @@ SampledResult bor::runSampled(const Program &P, Machine &M,
 SampledResult bor::runSampledFromLibrary(
     const DecodedProgram &DP, const ckpt::CheckpointLibrary &Lib,
     const SamplingPlan &Plan, const PipelineConfig &Config,
-    uint64_t MaxInsts, const telemetry::TelemetrySink *Telemetry,
-    const ckpt::RegionSelection *Regions) {
+    uint64_t MaxInsts, const telemetry::TelemetrySink *Telemetry) {
   assert(Lib.periodInsts() == Plan.PeriodInsts &&
          "library capture period must match the sampling plan");
   Machine M;
@@ -480,10 +378,8 @@ SampledResult bor::runSampledFromLibrary(
 
   LibraryRunStats LS;
   SampledResult Result =
-      Regions ? runSampledRegions(DP, Lib, *Regions, M, Plan, Config,
-                                  Decider, Telemetry, LS)
-              : runSampledLoop(DP, M, Plan, Config, Decider, MaxInsts,
-                               /*StartInsts=*/0, Telemetry, &Lib, &LS);
+      runSampledLoop(DP, M, Plan, Config, Decider, MaxInsts,
+                     /*StartInsts=*/0, Telemetry, &Lib, &LS);
   publishLibraryCounters(LS, M.memory());
   return Result;
 }

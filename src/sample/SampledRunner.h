@@ -35,7 +35,6 @@ namespace bor {
 
 namespace ckpt {
 class CheckpointLibrary;
-struct RegionSelection;
 } // namespace ckpt
 
 /// A marker observed anywhere in a sampled run, positioned by its global
@@ -151,14 +150,6 @@ SampledResult runSampled(const Program &P, Machine &M,
 /// result is ALWAYS field-identical to the plain runSampled result except
 /// for the wall-clock phase timers.
 ///
-/// With \p Regions set (selectRegions over Lib.periodBbvs()), only each
-/// representative period is warmed and measured, and its interval stats
-/// are weighted by the number of periods it represents: a deterministic
-/// estimate — no longer field-identical to plain sampling — that cuts
-/// execution to the distinct program phases. Markers come verbatim from
-/// the library (exact); MaxInsts is ignored (the library's stream bounds
-/// the run).
-///
 /// Publishes ckpt.resumes, ckpt.insts.skipped and the
 /// ckpt.pages.{shared,copied} COW totals alongside the usual sample.*
 /// counters; sample.insts.fast_forward counts only instructions actually
@@ -169,8 +160,7 @@ runSampledFromLibrary(const DecodedProgram &DP,
                       const ckpt::CheckpointLibrary &Lib,
                       const SamplingPlan &Plan, const PipelineConfig &Config,
                       uint64_t MaxInsts = ~0ULL,
-                      const telemetry::TelemetrySink *Telemetry = nullptr,
-                      const ckpt::RegionSelection *Regions = nullptr);
+                      const telemetry::TelemetrySink *Telemetry = nullptr);
 
 } // namespace bor
 

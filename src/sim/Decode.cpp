@@ -58,15 +58,11 @@ DecodedProgram::DecodedProgram(const Program &P) : Prog(P) {
 
   // Block structure comes from the shared CFG IR rather than a private
   // re-derivation: run lengths are distances to the end of the enclosing
-  // cfg::Module block (CFG blocks also break at branch targets), and the
-  // per-instruction block ids key BBVs and profiles downstream.
+  // cfg::Module block (CFG blocks also break at branch targets).
   cfg::Module M = cfg::buildModule(P);
   NumBlocks = M.numBlocks();
-  InstBlockIds.reserve(Insts.size());
-  for (size_t Index = 0; Index != Insts.size(); ++Index)
-    InstBlockIds.push_back(M.blockForIndex(Index));
   for (size_t Index = 0; Index != Insts.size(); ++Index) {
-    const cfg::BasicBlock &B = M.block(InstBlockIds[Index]);
+    const cfg::BasicBlock &B = M.block(M.blockForIndex(Index));
     size_t Run = B.OrigIndex + B.Insts.size() - Index;
     Insts[Index].RunLen = static_cast<uint16_t>(Run > 0xffff ? 0xffff : Run);
   }

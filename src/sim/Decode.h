@@ -16,10 +16,9 @@
 ///
 /// The image's static basic-block structure is no longer re-derived here:
 /// decoding builds the program's cfg::Module (cfg/Cfg.h) and consumes its
-/// block metadata — per-instruction block ids, run lengths to the end of
-/// the enclosing CFG block, and the module's block count. One IR now
-/// answers every "what block is this?" question (decode, BBV keying,
-/// profile mapping) identically.
+/// block metadata — run lengths to the end of the enclosing CFG block and
+/// the module's block count. One IR answers every "what block is this?"
+/// question (decode, profile mapping) identically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,14 +83,6 @@ public:
   /// block counts too).
   size_t numBlocks() const { return NumBlocks; }
 
-  /// CFG block id (cfg::BlockId) of instruction \p Index. Stable across
-  /// layout edits of the module, so profiles and BBVs keyed on these ids
-  /// survive relinearization.
-  uint32_t instBlockId(size_t Index) const {
-    assert(Index < InstBlockIds.size() && "instruction index out of range");
-    return InstBlockIds[Index];
-  }
-
   const DecodedInst &at(size_t Index) const {
     assert(Index < Insts.size() && "instruction index out of range");
     return Insts[Index];
@@ -106,7 +97,6 @@ public:
 private:
   const Program &Prog;
   std::vector<DecodedInst> Insts;
-  std::vector<uint32_t> InstBlockIds; ///< per-inst cfg::BlockId
   size_t NumBlocks = 0;
 };
 

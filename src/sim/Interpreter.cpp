@@ -225,8 +225,6 @@ ExecRecord Interpreter::step() {
     break;
   }
 
-  if (D.endsBlock())
-    countBlock(Index);
   Mach.setPc(R.NextPc);
   ++Stats.Insts;
   return R;
@@ -302,7 +300,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Halt) {
-      countBlock(Idx);
       Mach.setHalted();
       Mach.setPc(Program::pcForIndex(Idx));
       ++Executed;
@@ -467,7 +464,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Beq) {
-      countBlock(Idx);
       bool Taken = Regs[D->Rs1] == Regs[D->Rs2];
       ++NCond;
       ++NBlocks;
@@ -481,7 +477,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Bne) {
-      countBlock(Idx);
       bool Taken = Regs[D->Rs1] != Regs[D->Rs2];
       ++NCond;
       ++NBlocks;
@@ -495,7 +490,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Blt) {
-      countBlock(Idx);
       bool Taken = static_cast<int64_t>(Regs[D->Rs1]) <
                    static_cast<int64_t>(Regs[D->Rs2]);
       ++NCond;
@@ -510,7 +504,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Bge) {
-      countBlock(Idx);
       bool Taken = static_cast<int64_t>(Regs[D->Rs1]) >=
                    static_cast<int64_t>(Regs[D->Rs2]);
       ++NCond;
@@ -525,14 +518,12 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Jmp) {
-      countBlock(Idx);
       ++NBlocks;
       ++Executed;
       Idx = static_cast<size_t>(D->Target / 4);
       BOR_NEXT();
     }
     BOR_CASE(Jal) {
-      countBlock(Idx);
       Regs[D->Rd] = Program::pcForIndex(Idx) + 4;
       Regs[RegZero] = 0;
       ++NBlocks;
@@ -541,7 +532,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Jalr) {
-      countBlock(Idx);
       uint64_t Target = Regs[D->Rs1];
       Regs[D->Rd] = Program::pcForIndex(Idx) + 4;
       Regs[RegZero] = 0;
@@ -557,7 +547,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       goto chainExit;
     }
     BOR_CASE(Brr) {
-      countBlock(Idx);
       ++NBrr;
       bool Taken = Decider.decide(FreqCode(D->Freq));
       ++NBlocks;
@@ -571,7 +560,6 @@ void Interpreter::runChained(uint64_t MaxSteps) {
       BOR_NEXT();
     }
     BOR_CASE(Marker) {
-      countBlock(Idx);
       ++NBlocks;
       if (MarkerHook) {
         // Hooks observe the same state step() would publish: the marker's

@@ -104,15 +104,6 @@ public:
     MarkerHook = std::move(Hook);
   }
 
-  /// Basic-block profiling: when \p Counts is non-null it must point at
-  /// decoded().numInsts() zeroed slots, and every executed block
-  /// terminator (control, halt, marker — the DIF_EndsBlock opcodes)
-  /// increments the slot at its instruction index, under both step() and
-  /// run(). The checkpoint library builds its per-period basic-block
-  /// vectors from deltas of this buffer. Null (the default) keeps the
-  /// dispatch loop free of the extra store.
-  void setBlockProfile(uint64_t *Counts) { BlockCounts = Counts; }
-
   const RunStats &stats() const { return Stats; }
   Machine &machine() { return Mach; }
   const DecodedProgram &decoded() const { return Dec; }
@@ -127,13 +118,6 @@ private:
   BrrDecider &Decider;
   RunStats Stats;
   std::function<void(int32_t)> MarkerHook;
-  uint64_t *BlockCounts = nullptr; ///< see setBlockProfile
-
-  /// Shared terminator-count bump for both execution modes.
-  void countBlock(size_t Index) {
-    if (BlockCounts)
-      ++BlockCounts[Index];
-  }
 
   // Chained-dispatch accounting (published as interp.block.* at
   // destruction): chain entries, instructions retired inside chains, and

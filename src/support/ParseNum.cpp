@@ -7,6 +7,7 @@
 #include "support/ParseNum.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -30,6 +31,31 @@ uint64_t bor::parseU64Flag(const char *Tool, const char *Flag,
   if (!parseU64(Text, Value)) {
     std::fprintf(stderr, "%s: %s needs a whole number, got '%s'\n", Tool,
                  Flag, Text ? Text : "");
+    std::exit(2);
+  }
+  return Value;
+}
+
+bool bor::parseF64(const char *Text, double &Out) {
+  // The same opening-digit rule as parseU64: strtod would otherwise skip
+  // whitespace and accept a sign, "inf" and "nan".
+  if (!Text || *Text < '0' || *Text > '9')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  double Parsed = std::strtod(Text, &End);
+  if (errno == ERANGE || *End != '\0' || !std::isfinite(Parsed))
+    return false;
+  Out = Parsed;
+  return true;
+}
+
+double bor::parseF64Flag(const char *Tool, const char *Flag,
+                         const char *Text) {
+  double Value = 0;
+  if (!parseF64(Text, Value)) {
+    std::fprintf(stderr, "%s: %s needs a finite number >= 0, got '%s'\n",
+                 Tool, Flag, Text ? Text : "");
     std::exit(2);
   }
   return Value;

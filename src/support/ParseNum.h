@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one parser every tool uses for an unsigned numeric flag value. A
-/// value that is not exactly a number is a usage error naming the flag,
-/// never a silently misread budget: "1e6" is not 1, "lots" is not 0 and
-/// "-1" is not 2^64-1.
+/// The parsers every tool uses for a numeric flag value. A value that is
+/// not exactly a number is a usage error naming the flag, never a silently
+/// misread budget: "1e6" is not 1, "lots" is not 0, "-1" is not 2^64-1
+/// and "nan" is not a threshold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +29,18 @@ bool parseU64(const char *Text, uint64_t &Out);
 /// else "<Tool>: <Flag> needs a whole number, got '<Text>'" on stderr and
 /// exit status 2.
 uint64_t parseU64Flag(const char *Tool, const char *Flag, const char *Text);
+
+/// Strict non-negative real parse, by parseU64's rules: \p Text must open
+/// with a digit and be, in full, a finite decimal or hex floating-point
+/// number. Whitespace, a sign, "inf", "nan", trailing characters or a
+/// value out of double's range make it fail. Returns false (leaving \p
+/// Out untouched) on failure.
+bool parseF64(const char *Text, double &Out);
+
+/// The value of real-valued flag \p Flag of tool \p Tool: parseF64(\p
+/// Text), or else "<Tool>: <Flag> needs a finite number >= 0, got
+/// '<Text>'" on stderr and exit status 2.
+double parseF64Flag(const char *Tool, const char *Flag, const char *Text);
 
 } // namespace bor
 

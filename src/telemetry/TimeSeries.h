@@ -42,7 +42,7 @@ struct IntervalSample {
   double BrrRate = 0.0;   ///< brr executions per kilo-instruction
   uint64_t FfInsts = 0;   ///< fast-forward instructions *executed* after
                           ///< this interval (0 when a checkpoint resume
-                          ///< skipped the span, or in region mode)
+                          ///< skipped the span)
 };
 
 /// Collects per-interval series from sampled runs, each tagged with the

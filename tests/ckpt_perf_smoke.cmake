@@ -11,6 +11,9 @@
 #   3. A second run against the same --ckpt-dir loads every library from
 #      disk (ckpt.libraries.loaded, no build instructions) and reproduces
 #      the same stripped JSON — the cross-invocation reuse win.
+#   4. Every other timing experiment (fig02, fig12, fig14, ablation) takes
+#      the library path too: --ckpt-library writes the plain sampled JSON,
+#      resumes at least once and executes no fast-forward instruction.
 #
 # Counter identities gate; wall-clock is reported but never gates (CI
 # machines vary too much for a timing assertion to be meaningful).
@@ -22,14 +25,14 @@ file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR}/libs)
 
-set(COMMON --experiment fig13 --scale 100 --sample --sample-period 50000
-           --threads 2 --no-table)
+set(COMMON --scale 100 --sample --sample-period 50000 --threads 2
+           --no-table)
 
-# run(<tag> [extra bor-bench flags...]): one sweep writing ${tag}.json and
-# ${tag}_counters.txt into the workdir.
-function(run tag)
+# run(<tag> <experiment> [extra bor-bench flags...]): one sweep writing
+# ${tag}.json and ${tag}_counters.txt into the workdir.
+function(run tag experiment)
   string(TIMESTAMP T0 %s)
-  execute_process(COMMAND ${BENCH} ${COMMON}
+  execute_process(COMMAND ${BENCH} --experiment ${experiment} ${COMMON}
                           --json ${WORKDIR}/${tag}.json
                           --counters-out ${WORKDIR}/${tag}_counters.txt
                           ${ARGN}
@@ -76,8 +79,8 @@ function(counter_or_zero out tag name)
   endif()
 endfunction()
 
-run(plain)
-run(lib --ckpt-dir ${WORKDIR}/libs)
+run(plain fig13)
+run(lib fig13 --ckpt-dir ${WORKDIR}/libs)
 
 # 1. Byte-identical experiment output.
 stripped(PLAIN_JSON plain)
@@ -120,7 +123,7 @@ endif()
 
 # 3. Warm rerun: libraries load from disk, nothing is rebuilt, output is
 #    unchanged.
-run(warm --ckpt-dir ${WORKDIR}/libs)
+run(warm fig13 --ckpt-dir ${WORKDIR}/libs)
 counter(LOADED warm "ckpt\\.libraries\\.loaded")
 counter_or_zero(WARM_BUILD_INSTS warm "ckpt\\.build\\.insts")
 if(LOADED LESS 1)
@@ -135,6 +138,35 @@ stripped(WARM_JSON warm)
 if(NOT PLAIN_JSON STREQUAL WARM_JSON)
   message(FATAL_ERROR "warm library rerun JSON differs from plain sampling")
 endif()
+
+# 4. The other timing experiments reach the library through the same
+#    options value as fig13; dropping the pool on their path would leave
+#    their JSON unchanged, so the counters must show the resumes.
+foreach(exp fig02 fig12 fig14 ablation)
+  run(${exp}_plain ${exp})
+  run(${exp}_lib ${exp} --ckpt-library)
+  stripped(EXP_PLAIN_JSON ${exp}_plain)
+  stripped(EXP_LIB_JSON ${exp}_lib)
+  if(NOT EXP_PLAIN_JSON STREQUAL EXP_LIB_JSON)
+    message(FATAL_ERROR
+            "${exp}: library-backed JSON differs from plain sampling "
+            "(beyond the ms phase timers); diff ${WORKDIR}/${exp}_plain.json "
+            "against ${WORKDIR}/${exp}_lib.json")
+  endif()
+  counter(EXP_FF_PLAIN ${exp}_plain "sample\\.insts\\.fast_forward")
+  counter(EXP_RESUMES ${exp}_lib "ckpt\\.resumes")
+  counter_or_zero(EXP_FF_LIB ${exp}_lib "sample\\.insts\\.fast_forward")
+  if(EXP_FF_PLAIN LESS 1)
+    message(FATAL_ERROR "${exp}: plain run fast-forwarded no instructions")
+  endif()
+  if(EXP_RESUMES LESS 1 OR EXP_FF_LIB GREATER 0)
+    message(FATAL_ERROR
+            "${exp}: library path idle: ckpt.resumes=${EXP_RESUMES}, "
+            "executed fast-forward ${EXP_FF_LIB} (plain ${EXP_FF_PLAIN})")
+  endif()
+  message(STATUS "${exp}: ${EXP_RESUMES} resumes, fast-forward "
+                 "${EXP_FF_PLAIN} -> ${EXP_FF_LIB}")
+endforeach()
 
 message(STATUS "ckpt perf smoke test passed "
                "(plain ff ${FF_PLAIN} -> library ff ${FF_LIB}, "

@@ -3,10 +3,9 @@
 // The COW checkpoint library's contract, bottom up: PageStore interning,
 // Memory's copy-on-write attach mode (shares are bit-identical, writes
 // never leak between machines), library build / lookup / resume semantics,
-// serialization, the BBV region selector, the build-once LibraryPool, and
-// the headline guarantee — a library-backed sampled run is field-identical
-// to a plain one, including when checkpoints are missing and the runner
-// falls back to execution.
+// serialization, the build-once LibraryPool, and the headline guarantee — a
+// library-backed sampled run is field-identical to a plain one, including
+// when checkpoints are missing and the runner falls back to execution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +22,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <thread>
 
@@ -418,7 +418,6 @@ TEST(CheckpointLibrary, EncodeDecodeRoundTrips) {
   EXPECT_EQ(Back.numCheckpoints(), Lib.numCheckpoints());
   EXPECT_EQ(Back.numStoredPages(), Lib.numStoredPages());
   EXPECT_EQ(Back.markers().size(), Lib.markers().size());
-  EXPECT_EQ(Back.numPeriods(), Lib.numPeriods());
   // Re-encoding the decoded library reproduces the bytes exactly.
   EXPECT_EQ(Back.encode(), Lib.encode());
 
@@ -458,6 +457,44 @@ uint64_t resumeAndReadBack(const CheckpointLibrary &Lib, Machine &M) {
       }
   }
   return Wrong;
+}
+
+/// Payload byte offsets of the fields decode()'s shape checks read, walked
+/// from the layout documented in ckpt/CheckpointLibrary.h.
+struct PayloadOffsets {
+  static constexpr size_t TotalInsts = 12; ///< after version, periodInsts
+  static constexpr size_t StreamHalted = 20;
+  std::vector<size_t> CkptInsts;  ///< each checkpoint's instsRetired
+  std::vector<size_t> CkptHalted; ///< each checkpoint's halted byte
+  std::vector<size_t> MarkerInst; ///< each marker's globalInst
+  size_t End = 0;
+};
+
+PayloadOffsets payloadOffsets(const CheckpointLibrary &Lib) {
+  PayloadOffsets O;
+  size_t Pos = PayloadOffsets::StreamHalted + 1 + 4 +
+               Lib.deciderKind().size() + 8 +
+               Lib.numStoredPages() * Memory::pageBytes() + 8;
+  for (const LibraryCheckpoint &C : Lib.checkpoints()) {
+    O.CkptInsts.push_back(Pos);
+    O.CkptHalted.push_back(Pos + 16);
+    Pos += 17 + 32 * 8 + 4 + 8 * C.DeciderWords.size() + 8 +
+           16 * C.Pages.size();
+  }
+  Pos += 8;
+  for (size_t I = 0; I != Lib.markers().size(); ++I, Pos += 12)
+    O.MarkerInst.push_back(Pos + 4);
+  O.End = Pos;
+  return O;
+}
+
+/// The merged value of counter \p Name, or 0 when nothing published it.
+uint64_t counterValue(const std::string &Name) {
+  for (const auto &[N, V] :
+       telemetry::CounterRegistry::instance().snapshot().Counters)
+    if (N == Name)
+      return V;
+  return 0;
 }
 
 } // namespace
@@ -503,6 +540,49 @@ TEST(CheckpointLibrary, RejectsCorruptPayloads) {
   BadVer[0] = 0xff;
   EXPECT_FALSE(CheckpointLibrary::decode(BadVer, Out, Err));
   EXPECT_NE(Err.find("version"), std::string::npos);
+
+  // Well-formed payloads whose shape build() never produces, and which
+  // the resume path would misread (markersIn binary-searches the markers;
+  // a run ends on the final checkpoint's halt state).
+  ASSERT_TRUE(Lib.streamHalted());
+  ASSERT_GE(Lib.markers().size(), 2u);
+  const PayloadOffsets Off = payloadOffsets(Lib);
+  ASSERT_EQ(Off.End, Bytes.size());
+  const uint64_t Total = Lib.totalInsts();
+  const uint64_t Marker1 = Lib.markers()[1].GlobalInst;
+  const std::vector<LibraryCheckpoint> &Ckpts = Lib.checkpoints();
+  const uint64_t LastInsts = Ckpts.back().InstsRetired;
+  ASSERT_GT(LastInsts - Ckpts[Ckpts.size() - 2].InstsRetired, 1u);
+  struct Patch {
+    const char *Name;
+    size_t Pos;
+    unsigned Width; ///< bytes written, little-endian
+    uint64_t Value;
+  };
+  const Patch Violations[] = {
+      {"checkpoint 0 past instruction 0", Off.CkptInsts[0], 8, 1},
+      {"last checkpoint short of totalInsts", Off.CkptInsts.back(), 8,
+       LastInsts - 1},
+      {"totalInsts past the last checkpoint", PayloadOffsets::TotalInsts, 8,
+       Total + 1},
+      {"halted stream, running last checkpoint", Off.CkptHalted.back(), 1, 0},
+      {"running stream, halted last checkpoint", PayloadOffsets::StreamHalted,
+       1, 0},
+      {"earlier checkpoint halted", Off.CkptHalted[1], 1, 1},
+      {"duplicate marker position", Off.MarkerInst[0], 8, Marker1},
+      {"descending markers", Off.MarkerInst[0], 8, Marker1 + 1},
+      {"marker at instruction 0", Off.MarkerInst[0], 8, 0},
+      {"marker past the stream", Off.MarkerInst.back(), 8, Total + 1},
+  };
+  for (const Patch &P : Violations) {
+    std::vector<uint8_t> Bad = Bytes;
+    for (unsigned I = 0; I != P.Width; ++I)
+      Bad[P.Pos + I] = static_cast<uint8_t>(P.Value >> (8 * I));
+    Err.clear();
+    EXPECT_FALSE(CheckpointLibrary::decode(Bad, Out, Err)) << P.Name;
+    EXPECT_NE(Err.find("library"), std::string::npos)
+        << P.Name << ": " << Err;
+  }
 }
 
 TEST(CheckpointLibrary, FileRoundTripThroughBorbContainer) {
@@ -525,61 +605,6 @@ TEST(CheckpointLibrary, FileRoundTripThroughBorbContainer) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_NE(R.findSection("CKPL"), nullptr);
   std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// BBV region selection
-//===----------------------------------------------------------------------===//
-
-TEST(Bbv, DistanceProperties) {
-  Bbv A = {{0, 10}, {3, 30}};
-  Bbv B = {{1, 5}};
-  EXPECT_EQ(bbvDistance(A, A), 0.0);
-  EXPECT_EQ(bbvDistance(B, B), 0.0);
-  // Disjoint supports are maximally distant under the normalized metric.
-  EXPECT_DOUBLE_EQ(bbvDistance(A, B), 2.0);
-  EXPECT_DOUBLE_EQ(bbvDistance(A, B), bbvDistance(B, A));
-  // Scaling a vector leaves the normalized distance unchanged.
-  Bbv A2 = {{0, 20}, {3, 60}};
-  EXPECT_EQ(bbvDistance(A, A2), 0.0);
-}
-
-TEST(Bbv, SelectRegionsClustersPhases) {
-  Bbv PhaseA = {{0, 100}};
-  Bbv PhaseB = {{7, 100}};
-  std::vector<Bbv> Bbvs = {PhaseA, PhaseA, PhaseB, PhaseA, PhaseB};
-
-  RegionSelection Sel = selectRegions(Bbvs, 2);
-  ASSERT_EQ(Sel.Reps.size(), 2u);
-  EXPECT_EQ(Sel.Reps[0], 0u) << "period 0 seeds the selection";
-  EXPECT_EQ(Sel.Reps[1], 2u) << "farthest-first picks the first B period";
-  EXPECT_EQ(Sel.RepOf, (std::vector<uint32_t>{0, 0, 2, 0, 2}));
-  EXPECT_EQ(Sel.weightOf(0), 3u);
-  EXPECT_EQ(Sel.weightOf(2), 2u);
-  EXPECT_EQ(Sel.numPeriods(), 5u);
-
-  // Identical phases need no second representative even with room.
-  RegionSelection One = selectRegions({PhaseA, PhaseA, PhaseA}, 8);
-  EXPECT_EQ(One.Reps, (std::vector<uint32_t>{0}));
-  EXPECT_EQ(One.weightOf(0), 3u);
-}
-
-TEST(Bbv, SelectRegionsIsDeterministic) {
-  MicrobenchProgram MB = brrProgram();
-  DecodedProgram DP(MB.Prog);
-  CheckpointLibrary Lib = buildLibrary(DP, 20000);
-  ASSERT_GE(Lib.numPeriods(), 2u);
-
-  RegionSelection A = selectRegions(Lib.periodBbvs(), 2);
-  RegionSelection B = selectRegions(Lib.periodBbvs(), 2);
-  EXPECT_EQ(A.Reps, B.Reps);
-  EXPECT_EQ(A.RepOf, B.RepOf);
-
-  // Weights always partition the periods.
-  uint64_t Total = 0;
-  for (uint32_t R : A.Reps)
-    Total += A.weightOf(R);
-  EXPECT_EQ(Total, A.numPeriods());
 }
 
 //===----------------------------------------------------------------------===//
@@ -624,37 +649,6 @@ TEST(SampledFromLibrary, TruncatedLibraryFallsBackToExecution) {
   SampledResult FromLib = runSampledFromLibrary(DP, Lib, Plan,
                                                 PipelineConfig());
   expectSameSampledResult(Plain, FromLib);
-}
-
-TEST(SampledFromLibrary, RegionModeIsDeterministicAndExactOnMarkers) {
-  MicrobenchProgram MB = brrProgram();
-  DecodedProgram DP(MB.Prog);
-
-  SamplingPlan Plan;
-  Plan.PeriodInsts = 20000;
-  Plan.WarmupInsts = 1000;
-  Plan.MeasureInsts = 500;
-
-  CheckpointLibrary Lib = buildLibrary(DP, Plan.PeriodInsts);
-  RegionSelection Sel = selectRegions(Lib.periodBbvs(), 2);
-  ASSERT_FALSE(Sel.Reps.empty());
-
-  SampledResult A = runSampledFromLibrary(DP, Lib, Plan, PipelineConfig(),
-                                          ~0ULL, nullptr, &Sel);
-  SampledResult B = runSampledFromLibrary(DP, Lib, Plan, PipelineConfig(),
-                                          ~0ULL, nullptr, &Sel);
-  expectSameSampledResult(A, B);
-
-  // Region mode reports the library's exact stream shape and markers.
-  EXPECT_EQ(A.TotalInsts, Lib.totalInsts());
-  EXPECT_EQ(A.Halted, Lib.streamHalted());
-  ASSERT_EQ(A.Markers.size(), Lib.markers().size());
-  for (size_t I = 0; I != A.Markers.size(); ++I)
-    EXPECT_EQ(A.Markers[I].GlobalInst, Lib.markers()[I].GlobalInst);
-
-  // Weighted measurement scales to the whole stream.
-  EXPECT_GT(A.NumIntervals, 0u);
-  EXPECT_GT(A.MeasuredInsts, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -722,43 +716,76 @@ TEST(LibraryPool, CorruptCacheFileIsRebuiltNotFatal) {
   DecodedProgram DP(MB.Prog);
   std::string Dir = testing::TempDir() + "ckpt_corrupt_cache";
 
-  std::vector<uint8_t> GoodBytes;
-  {
-    LibraryPool Pool(Dir);
-    GoodBytes = Pool.getOrBuild(DP, BrrUnitConfig(), 20000)->encode();
-  }
+  SamplingPlan Plan;
+  Plan.PeriodInsts = 20000;
+  Plan.WarmupInsts = 1000;
+  Plan.MeasureInsts = 500;
+  const SampledResult Plain = runSampled(DP, Plan);
+
+  std::shared_ptr<const CheckpointLibrary> Good =
+      LibraryPool(Dir).getOrBuild(DP, BrrUnitConfig(), Plan.PeriodInsts);
+  const std::vector<uint8_t> GoodBytes = Good->encode();
   std::string Path = LibraryPool(Dir).cachePathFor(
-      LibraryPool::keyFor(MB.Prog, BrrUnitConfig(), 20000));
+      LibraryPool::keyFor(MB.Prog, BrrUnitConfig(), Plan.PeriodInsts));
   ASSERT_FALSE(Path.empty());
 
-  // Injected corruption: truncate the persisted image mid-payload, as a
-  // torn write from a killed process would.
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "rb+");
-    ASSERT_NE(F, nullptr);
-    std::fputs("garbage where the header was", F);
-    ASSERT_EQ(std::fclose(F), 0);
-  }
+  // Bit 4 of byte 2 of the first marker's globalInst: the markers fall out
+  // of order, which markersIn's binary search would silently misread.
+  std::vector<uint8_t> MarkerFlip = GoodBytes;
+  MarkerFlip[payloadOffsets(*Good).MarkerInst[0] + 2] ^= 0x10;
+  // A well-formed version-2 payload, as caches written before the
+  // basic-block-vector section was dropped hold: the version word plus
+  // that (here empty) trailing section.
+  std::vector<uint8_t> Version2 = GoodBytes;
+  Version2[0] = 2;
+  Version2.insert(Version2.end(), 8, 0);
+  auto writePayload = [&](const std::vector<uint8_t> &Payload) {
+    ASSERT_TRUE(saveProgram(MB.Prog, Path,
+                            {ContainerSection::make("CKPL", Payload)}));
+  };
+  const std::pair<const char *, std::function<void()>> Corruptions[] = {
+      // Garbage over the header, as a torn write from a killed process
+      // would leave.
+      {"torn header",
+       [&] {
+         std::FILE *F = std::fopen(Path.c_str(), "rb+");
+         ASSERT_NE(F, nullptr);
+         std::fputs("garbage where the header was", F);
+         ASSERT_EQ(std::fclose(F), 0);
+       }},
+      {"marker flip", [&] { writePayload(MarkerFlip); }},
+      {"version 2", [&] { writePayload(Version2); }},
+  };
 
-  // A fresh pool must warn and rebuild — same library, never a crash or
-  // a poisoned result.
-  {
-    LibraryPool Pool(Dir);
-    std::shared_ptr<const CheckpointLibrary> Lib =
-        Pool.getOrBuild(DP, BrrUnitConfig(), 20000);
-    ASSERT_NE(Lib, nullptr);
-    EXPECT_EQ(Lib->encode(), GoodBytes);
-  }
+  telemetry::CounterRegistry &Registry = telemetry::CounterRegistry::instance();
+  telemetry::CounterRegistry::setEnabled(true);
+  for (const auto &[Name, Corrupt] : Corruptions) {
+    SCOPED_TRACE(Name);
+    Corrupt();
+    // A fresh pool must warn and rebuild once — same library, never a
+    // crash or a poisoned result.
+    Registry.reset();
+    {
+      LibraryPool Pool(Dir);
+      std::shared_ptr<const CheckpointLibrary> Lib =
+          Pool.getOrBuild(DP, BrrUnitConfig(), Plan.PeriodInsts);
+      ASSERT_NE(Lib, nullptr);
+      EXPECT_EQ(Lib->encode(), GoodBytes);
+      expectSameSampledResult(
+          Plain, runSampledFromLibrary(DP, *Lib, Plan, PipelineConfig()));
+    }
+    EXPECT_EQ(counterValue("ckpt.libraries.corrupt"), 1u);
 
-  // And the rebuild repaired the cache file in place: the next pool loads
-  // it cleanly.
-  {
-    Program Cached;
-    CheckpointLibrary Lib;
-    std::string Error;
-    EXPECT_TRUE(loadLibraryFile(Path, Cached, Lib, Error)) << Error;
-    EXPECT_EQ(Lib.encode(), GoodBytes);
+    // And the rebuild rewrote the cache file: the next pool loads it.
+    Registry.reset();
+    EXPECT_EQ(LibraryPool(Dir)
+                  .getOrBuild(DP, BrrUnitConfig(), Plan.PeriodInsts)
+                  ->encode(),
+              GoodBytes);
+    EXPECT_EQ(counterValue("ckpt.libraries.loaded"), 1u);
+    EXPECT_EQ(counterValue("ckpt.libraries.corrupt"), 0u);
   }
+  telemetry::CounterRegistry::setEnabled(false);
   std::remove(Path.c_str());
 }
 
@@ -798,12 +825,7 @@ TEST(LibraryPool, InflatedCacheHeaderIsRebuiltNotFatal) {
     ASSERT_NE(Lib, nullptr);
     EXPECT_EQ(Lib->encode(), GoodBytes);
   }
-  uint64_t Corrupt = 0;
-  const telemetry::CounterSnapshot Snapshot = Registry.snapshot();
-  for (const auto &[Name, Value] : Snapshot.Counters)
-    if (Name == "ckpt.libraries.corrupt")
-      Corrupt = Value;
+  EXPECT_EQ(counterValue("ckpt.libraries.corrupt"), 1u);
   telemetry::CounterRegistry::setEnabled(false);
-  EXPECT_EQ(Corrupt, 1u);
   std::remove(Path.c_str());
 }

@@ -369,7 +369,8 @@ TEST(DriverTest, PlanWhoseSumWrapsIsRejected) {
 TEST(DriverTest, CellTimeoutMarksTheSlowCellAndSkipsTheSummary) {
   // Cell 1 sleeps three times the 0.2 s budget. The abandoned cell keeps
   // running detached, so it raises Finished and the test waits for that
-  // before returning.
+  // before moving on. A 1e300 s budget does not fit the clock, so the
+  // runner waits for every cell with no deadline at all.
   auto Finished = std::make_shared<std::atomic<bool>>(false);
   ExperimentRegistry::instance().add(
       "timeout_probe", "cell 1 overruns --cell-timeout",
@@ -395,49 +396,59 @@ TEST(DriverTest, CellTimeoutMarksTheSlowCellAndSkipsTheSummary) {
       });
 
   const std::string Path = testing::TempDir() + "timeout_probe.json";
-  std::vector<std::string> Args = {
-      "bor-bench", "--experiment", "timeout_probe", "--cell-timeout", "0.2",
-      "--threads", "2", "--no-table", "--json", Path};
-  std::vector<char *> Argv;
-  for (std::string &A : Args)
-    Argv.push_back(A.data());
-  EXPECT_EQ(benchMain(static_cast<int>(Argv.size()), Argv.data()), 3);
+  // (--cell-timeout value, whether cell 1 overruns it)
+  const std::pair<const char *, bool> Inputs[] = {{"0.2", true},
+                                                  {"1e300", false}};
+  for (const auto &[Timeout, Overruns] : Inputs) {
+    SCOPED_TRACE(Timeout);
+    Finished->store(false);
+    std::vector<std::string> Args = {
+        "bor-bench", "--experiment", "timeout_probe", "--cell-timeout",
+        Timeout,     "--threads",    "2",             "--no-table",
+        "--json",    Path};
+    std::vector<char *> Argv;
+    for (std::string &A : Args)
+      Argv.push_back(A.data());
+    EXPECT_EQ(benchMain(static_cast<int>(Argv.size()), Argv.data()),
+              Overruns ? 3 : 0);
 
-  std::vector<JsonValue> Cells;
-  size_t Summaries = 0;
-  std::ifstream In(Path);
-  for (std::string Line; std::getline(In, Line);) {
-    JsonValue V;
-    std::string Err;
-    ASSERT_TRUE(jsonParse(Line, V, Err)) << Err;
-    const JsonValue *Kind = V.find("kind");
-    ASSERT_NE(Kind, nullptr);
-    if (Kind->Str == "cell")
-      Cells.push_back(V);
-    Summaries += Kind->Str == "summary";
-  }
-  EXPECT_EQ(Summaries, 0u);
-  ASSERT_EQ(Cells.size(), 4u);
-  for (size_t I = 0; I != Cells.size(); ++I) {
-    EXPECT_EQ(Cells[I].find("params")->find("cell")->Str, std::to_string(I));
-    const JsonValue *Metrics = Cells[I].find("metrics");
-    ASSERT_NE(Metrics, nullptr);
-    const JsonValue *Status = Metrics->find("cell_status");
-    const JsonValue *Index = Metrics->find("index");
-    if (I == 1) {
-      ASSERT_NE(Status, nullptr);
-      EXPECT_EQ(Status->Str, "timeout");
-      EXPECT_EQ(Index, nullptr);
-    } else {
-      EXPECT_EQ(Status, nullptr) << "cell " << I;
-      ASSERT_NE(Index, nullptr);
-      EXPECT_EQ(Index->Num, static_cast<double>(I));
+    std::vector<JsonValue> Cells;
+    size_t Summaries = 0;
+    std::ifstream In(Path);
+    for (std::string Line; std::getline(In, Line);) {
+      JsonValue V;
+      std::string Err;
+      ASSERT_TRUE(jsonParse(Line, V, Err)) << Err;
+      const JsonValue *Kind = V.find("kind");
+      ASSERT_NE(Kind, nullptr);
+      if (Kind->Str == "cell")
+        Cells.push_back(V);
+      Summaries += Kind->Str == "summary";
     }
-  }
+    EXPECT_EQ(Summaries, Overruns ? 0u : 1u);
+    ASSERT_EQ(Cells.size(), 4u);
+    for (size_t I = 0; I != Cells.size(); ++I) {
+      EXPECT_EQ(Cells[I].find("params")->find("cell")->Str,
+                std::to_string(I));
+      const JsonValue *Metrics = Cells[I].find("metrics");
+      ASSERT_NE(Metrics, nullptr);
+      const JsonValue *Status = Metrics->find("cell_status");
+      const JsonValue *Index = Metrics->find("index");
+      if (I == 1 && Overruns) {
+        ASSERT_NE(Status, nullptr);
+        EXPECT_EQ(Status->Str, "timeout");
+        EXPECT_EQ(Index, nullptr);
+      } else {
+        EXPECT_EQ(Status, nullptr) << "cell " << I;
+        ASSERT_NE(Index, nullptr);
+        EXPECT_EQ(Index->Num, static_cast<double>(I));
+      }
+    }
 
-  for (int Tick = 0; Tick != 500 && !Finished->load(); ++Tick)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_TRUE(Finished->load());
+    for (int Tick = 0; Tick != 500 && !Finished->load(); ++Tick)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(Finished->load());
+  }
   std::remove(Path.c_str());
 }
 

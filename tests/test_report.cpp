@@ -305,6 +305,23 @@ TEST(Manifest, WriteAndLoadRoundTrip) {
   EXPECT_TRUE(Run.Sample);
   ASSERT_NE(Run.findExperiment("demo"), nullptr);
   EXPECT_EQ(Run.findExperiment("demo")->Records.size(), 3u);
+
+  // A manifest written before the checkpoint region mode was deleted
+  // carries config.ckpt_regions; the loader ignores the unknown key.
+  std::ifstream In(joinPath(Dir, "manifest.json"));
+  std::stringstream Text;
+  Text << In.rdbuf();
+  std::string Old = Text.str();
+  const std::string Key = "\"ckpt_library\":false";
+  size_t At = Old.find(Key);
+  ASSERT_NE(At, std::string::npos) << Old;
+  Old.insert(At + Key.size(), ",\"ckpt_regions\":3");
+  ASSERT_TRUE(writeFile(joinPath(Dir, "manifest.json"), Old));
+  LoadedRun OldRun;
+  ASSERT_TRUE(loadRun(Dir, OldRun, Err)) << Err;
+  EXPECT_EQ(OldRun.Scale, 100u);
+  ASSERT_NE(OldRun.findExperiment("demo"), nullptr);
+  EXPECT_EQ(OldRun.findExperiment("demo")->Records.size(), 3u);
 }
 
 TEST(Manifest, LoadsBareResultsFile) {

@@ -3,7 +3,7 @@
 #
 # Invoked by ctest with:
 #   -DAS=<bor-as> -DDIS=<bor-dis> -DRUN=<bor-run> -DPIPEVIEW=<bor-pipeview>
-#   -DGEN=<bor-gen> -DOPT=<bor-opt> -DBENCH=<bor-bench>
+#   -DGEN=<bor-gen> -DOPT=<bor-opt> -DBENCH=<bor-bench> -DREPORT=<bor-report>
 #   -DEXAMPLE_ASM=<examples/asm/sampling.s> -DWORKDIR=<scratch dir>
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -217,6 +217,17 @@ must_reject(--cold-divisor ${OPT} ${IMG} -o ${WORKDIR}/reject.borb
             --cold-divisor 1e3)
 must_reject(--sample-warm ${BENCH} --experiment fig13 --sample
             --sample-warm -1)
+# Real-valued flags must be finite, non-negative numbers: a NaN threshold
+# would flag every metric, and a timeout past the clock's range would
+# time every cell out.
+foreach(bad nan inf -1 " 5")
+  must_reject(--cell-timeout ${BENCH} --experiment fig13 --no-table
+              --no-json --cell-timeout ${bad})
+endforeach()
+must_reject(--threshold-pct ${REPORT} ${WORKDIR} ${WORKDIR}
+            --threshold-pct nan)
+must_reject(--threshold ${REPORT} ${WORKDIR} ${WORKDIR}
+            --threshold roi_cycles=nan)
 if(EXISTS ${WORKDIR}/reject.borb)
   message(FATAL_ERROR "a rejected bor-gen/bor-opt run wrote its output")
 endif()

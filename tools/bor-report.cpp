@@ -67,12 +67,6 @@ const char *flagValue(const char *Flag, char **Argv, int Argc, int &I) {
   return Argv[++I];
 }
 
-bool parseDouble(const char *Text, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Text, &End);
-  return End != Text && *End == '\0';
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -83,19 +77,17 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
     if (const char *V = flagValue("--threshold-pct", Argv, Argc, I)) {
-      if (!parseDouble(V, Opt.ThresholdPct) || Opt.ThresholdPct < 0) {
-        std::fprintf(stderr, "bor-report: bad --threshold-pct '%s'\n", V);
-        return 2;
-      }
+      Opt.ThresholdPct = parseF64Flag("bor-report", "--threshold-pct", V);
     } else if (const char *V = flagValue("--threshold", Argv, Argc, I)) {
       const char *Eq = std::strchr(V, '=');
-      double Pct = 0;
-      if (!Eq || Eq == V || !parseDouble(Eq + 1, Pct) || Pct < 0) {
+      if (!Eq || Eq == V) {
         std::fprintf(stderr,
                      "bor-report: --threshold wants NAME=PCT, got '%s'\n", V);
         return 2;
       }
-      Opt.MetricThresholds.emplace_back(std::string(V, Eq - V), Pct);
+      Opt.MetricThresholds.emplace_back(
+          std::string(V, Eq - V),
+          parseF64Flag("bor-report", "--threshold", Eq + 1));
     } else if (const char *V = flagValue("--out", Argv, Argc, I)) {
       OutPath = V;
     } else if (const char *V = flagValue("--max-rows", Argv, Argc, I)) {
