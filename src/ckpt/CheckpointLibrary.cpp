@@ -4,10 +4,10 @@
 
 #include "isa/Serialize.h"
 #include "sim/Interpreter.h"
+#include "support/ByteCodec.h"
 #include "telemetry/Counters.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 using namespace bor;
@@ -21,59 +21,6 @@ constexpr uint32_t LibraryVersion = 3;
 constexpr char LibraryTag[5] = "CKPL";
 constexpr uint32_t MaxDeciderKindLen = 64;
 constexpr uint32_t MaxDeciderWords = 64;
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-/// Bounds-checked little-endian reader (the same shape as
-/// sample/Checkpoint.cpp's; the payloads are independent formats, so no
-/// shared header).
-class Reader {
-public:
-  Reader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool failed() const { return Failed; }
-  bool atEnd() const { return Pos == Bytes.size(); }
-  size_t remaining() const { return Bytes.size() - Pos; }
-
-  uint32_t u32() { return static_cast<uint32_t>(uint(4)); }
-  uint64_t u64() { return uint(8); }
-  uint8_t u8() { return static_cast<uint8_t>(uint(1)); }
-
-  bool bytes(void *Dst, size_t N) {
-    if (Pos + N > Bytes.size()) {
-      Failed = true;
-      return false;
-    }
-    std::memcpy(Dst, Bytes.data() + Pos, N);
-    Pos += N;
-    return true;
-  }
-
-private:
-  uint64_t uint(unsigned N) {
-    if (Pos + N > Bytes.size()) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (unsigned I = 0; I != N; ++I)
-      V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-    Pos += N;
-    return V;
-  }
-
-  const std::vector<uint8_t> &Bytes;
-  size_t Pos = 0;
-  bool Failed = false;
-};
 
 bool fail(std::string &Error, const std::string &Message) {
   Error = Message;
@@ -271,7 +218,7 @@ bool CheckpointLibrary::decode(const std::vector<uint8_t> &Bytes,
                                CheckpointLibrary &Lib, std::string &Error) {
   const uint64_t PageBytes = Memory::pageBytes();
   CheckpointLibrary L;
-  Reader R(Bytes);
+  ByteReader R(Bytes);
   uint32_t Ver = R.u32();
   if (R.failed())
     return fail(Error, "truncated library header");
@@ -316,6 +263,8 @@ bool CheckpointLibrary::decode(const std::vector<uint8_t> &Bytes,
     uint32_t NumWords = R.u32();
     if (R.failed() || NumWords > MaxDeciderWords)
       return fail(Error, "bad library decider state");
+    if (I != 0 && NumWords != L.Checkpoints.front().DeciderWords.size())
+      return fail(Error, "library decider state changes size");
     for (uint32_t J = 0; J != NumWords; ++J)
       C.DeciderWords.push_back(R.u64());
     if (I != 0 && !R.failed() && C.InstsRetired <= PrevInsts)

@@ -23,8 +23,9 @@
 /// next to its program, so `bor-run --ckpt-dir` and `bor-bench
 /// --ckpt-dir` reuse libraries across invocations. See docs/CHECKPOINTS.md.
 ///
-/// Payload layout (little-endian), version 3 (images of any other version
-/// are rejected, so a stale cache file rebuilds once):
+/// Payload layout (little-endian, through support/ByteCodec.h), version 3
+/// (images of any other version are rejected, so a stale cache file
+/// rebuilds once):
 ///   u32 version | u64 periodInsts | u64 totalInsts | u8 streamHalted
 ///   | u32 deciderKindLen, kind bytes
 ///   | u64 numStorePages | numStorePages x 4096 page bytes
@@ -36,8 +37,9 @@
 ///
 /// decode() accepts only what build() can produce: checkpoint 0 at
 /// instruction 0, the last checkpoint at totalInsts with the stream's halt
-/// state, no earlier checkpoint halted, and markers strictly ascending
-/// within [1, totalInsts].
+/// state, no earlier checkpoint halted, the same number of decider words
+/// in every checkpoint, and markers strictly ascending within [1,
+/// totalInsts].
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,9 +60,9 @@ struct ContainerSection;
 
 namespace ckpt {
 
-/// One snapshot in a library. Unlike the standalone MachineCheckpoint
-/// (sample/Checkpoint.h), its pages are refcounted handles into the
-/// library's shared store, not private copies.
+/// One snapshot in a library: architectural state plus the decider words
+/// that reproduce the brr outcome stream from this point on. Its pages are
+/// refcounted handles into the library's shared store, not private copies.
 struct LibraryCheckpoint {
   uint64_t InstsRetired = 0;
   uint64_t Pc = 0;

@@ -51,7 +51,8 @@ size_t LibraryPool::numLibraries() const {
 std::shared_ptr<const CheckpointLibrary>
 LibraryPool::getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
                         uint64_t PeriodInsts,
-                        const telemetry::TelemetrySink *Telemetry) {
+                        const telemetry::TelemetrySink *Telemetry,
+                        uint64_t MaxInsts) {
   const uint64_t Key = keyFor(DP.program(), Brr, PeriodInsts);
   std::shared_ptr<Entry> E;
   {
@@ -69,10 +70,12 @@ LibraryPool::getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
       const bool Exists = std::filesystem::exists(Path, Ec);
       Program Cached;
       CheckpointLibrary Lib;
-      std::string Error = "header mismatch (wrong period or decider)";
+      std::string Error =
+          "header mismatch (wrong period, decider or decider state size)";
       if (Exists && loadLibraryFile(Path, Cached, Lib, Error) &&
-          Lib.periodInsts() == PeriodInsts &&
-          Lib.deciderKind() == "lfsr") {
+          Lib.periodInsts() == PeriodInsts && Lib.deciderKind() == "lfsr" &&
+          Lib.front().DeciderWords.size() ==
+              BrrUnitDecider::NumCheckpointWords) {
         if (telemetry::CounterRegistry::enabled()) {
           static const telemetry::Counter Loaded("ckpt.libraries.loaded");
           Loaded.add();
@@ -97,9 +100,10 @@ LibraryPool::getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
 
     CheckpointLibrary::BuildOptions Options;
     Options.EveryInsts = PeriodInsts;
+    Options.MaxInsts = MaxInsts;
     auto Built = std::make_shared<CheckpointLibrary>(
         CheckpointLibrary::build(DP, Brr, Options, Telemetry));
-    if (!Path.empty()) {
+    if (!Path.empty() && Built->streamHalted()) {
       std::error_code Ec;
       std::filesystem::create_directories(CacheDir, Ec);
       // Stage into the sibling temp name and rename so a concurrent sweep

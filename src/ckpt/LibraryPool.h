@@ -50,10 +50,16 @@ public:
   /// request. Concurrent callers for the same key block until the one
   /// build finishes and then share the result. The returned pointer is
   /// never null and keeps the library alive independently of the pool.
+  ///
+  /// \p MaxInsts bounds the build pass (BuildOptions::MaxInsts) of the
+  /// first request for a key. A library that stops short of the halt is
+  /// kept in memory but never written to the cache directory, so a cached
+  /// library always covers the whole stream.
   std::shared_ptr<const CheckpointLibrary>
   getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
              uint64_t PeriodInsts,
-             const telemetry::TelemetrySink *Telemetry = nullptr);
+             const telemetry::TelemetrySink *Telemetry = nullptr,
+             uint64_t MaxInsts = ~0ULL);
 
   /// Content key for one (program, decider config, period) triple — the
   /// disk cache filename stem (exposed for tests).

@@ -3,6 +3,7 @@
 #include "isa/Serialize.h"
 
 #include "isa/Encoding.h"
+#include "support/ByteCodec.h"
 
 #include <cstdio>
 #include <cstring>
@@ -15,57 +16,6 @@ namespace {
 constexpr char Magic[4] = {'B', 'O', 'R', 'B'};
 constexpr uint32_t VersionNoSections = 1;
 constexpr uint32_t VersionWithSections = 2;
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-/// Bounds-checked little-endian reader.
-class Reader {
-public:
-  Reader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool failed() const { return Failed; }
-
-  uint32_t u32() { return static_cast<uint32_t>(uint(4)); }
-  uint64_t u64() { return uint(8); }
-
-  bool bytes(void *Dst, size_t N) {
-    if (Pos + N > Bytes.size()) {
-      Failed = true;
-      return false;
-    }
-    std::memcpy(Dst, Bytes.data() + Pos, N);
-    Pos += N;
-    return true;
-  }
-
-  bool atEnd() const { return Pos == Bytes.size(); }
-  size_t remaining() const { return Bytes.size() - Pos; }
-
-private:
-  uint64_t uint(unsigned N) {
-    if (Pos + N > Bytes.size()) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (unsigned I = 0; I != N; ++I)
-      V |= static_cast<uint64_t>(Bytes[Pos + I]) << (8 * I);
-    Pos += N;
-    return V;
-  }
-
-  const std::vector<uint8_t> &Bytes;
-  size_t Pos = 0;
-  bool Failed = false;
-};
 
 LoadResult fail(const std::string &Message) {
   LoadResult R;
@@ -105,7 +55,7 @@ bor::serializeProgram(const Program &P,
 }
 
 LoadResult bor::deserializeProgram(const std::vector<uint8_t> &Bytes) {
-  Reader R(Bytes);
+  ByteReader R(Bytes);
   char Got[4];
   if (!R.bytes(Got, 4) || std::memcmp(Got, Magic, 4) != 0)
     return fail("not a BORB image (bad magic)");

@@ -17,13 +17,14 @@
 ///   | sections: (4 tag bytes, u64 size, size payload bytes)*
 ///
 /// Version 1 images end at the symbol table; version 2 appends named
-/// sections whose payloads the container treats as opaque bytes. The
-/// sampled-simulation subsystem stores machine checkpoints in a "CKPT"
-/// section (src/sample/Checkpoint.h owns that payload's encoding); images
-/// without sections keep serializing as version 1 so existing files and
-/// byte-comparison tests are unaffected.
+/// sections whose payloads the container treats as opaque bytes, and keeps
+/// sections of tags it does not know. The checkpoint subsystem stores a
+/// checkpoint library in a "CKPL" section (ckpt/CheckpointLibrary.h owns
+/// that payload's encoding); images without sections keep serializing as
+/// version 1 so existing files and byte-comparison tests are unaffected.
 ///
-/// All integers are little-endian. Loading validates structure and decodes
+/// All integers are little-endian, written and read through
+/// support/ByteCodec.h. Loading validates structure and decodes
 /// instructions through the checked isa/Encoding path.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,7 +42,7 @@ namespace bor {
 
 /// A named opaque payload appended to a version >= 2 container. The
 /// container layer neither interprets nor validates payload bytes; owners
-/// of a tag (e.g. the checkpoint code for "CKPT") define the encoding.
+/// of a tag (e.g. the checkpoint library for "CKPL") define the encoding.
 struct ContainerSection {
   std::array<char, 4> Tag = {{0, 0, 0, 0}};
   std::vector<uint8_t> Bytes;

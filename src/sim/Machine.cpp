@@ -5,7 +5,6 @@
 #include "telemetry/Counters.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace bor;
 
@@ -70,21 +69,6 @@ void Memory::forEachPage(
   std::sort(Bases.begin(), Bases.end());
   for (uint64_t Base : Bases)
     Fn(Base * PageBytes, Pages.find(Base)->second.Read->data());
-}
-
-void Memory::restorePage(uint64_t Base, const uint8_t *Data) {
-  assert(Base % PageBytes == 0 && "page base must be page-aligned");
-  clearEntry(Base / PageBytes);
-  // Whole-page overwrite: bypass the COW copy (its bytes would be
-  // clobbered immediately) by installing a fresh owned page directly.
-  Slot &S = Pages[Base / PageBytes];
-  if (!S.Owned) {
-    S.Owned = std::make_unique<Page>();
-    S.Shared.reset();
-    S.Write = S.Owned.get();
-    S.Read = S.Owned.get();
-  }
-  std::memcpy(S.Owned->data(), Data, PageBytes);
 }
 
 void Memory::attachShared(uint64_t Base, PageRef P) {

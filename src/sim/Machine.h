@@ -59,7 +59,7 @@ namespace bor {
 ///    entry at the private copy;
 ///  * a read of an unmapped page fills nothing, so a store that maps a
 ///    fresh page cannot leave a stale read behind;
-///  * attachShared and restorePage clear the entry of the page they remap;
+///  * attachShared clears the entry of the page it remaps;
 ///  * reset() (and so Machine::loadProgram and every checkpoint resume)
 ///    clears every entry.
 /// The cache is mutable, so a Memory must not be read from two threads at
@@ -115,10 +115,6 @@ public:
   void forEachPage(
       const std::function<void(uint64_t Base, const uint8_t *Data)> &Fn)
       const;
-
-  /// Overwrites the page containing \p Base (which must be page-aligned)
-  /// with \p Data (pageBytes() bytes). Used by checkpoint restore.
-  void restorePage(uint64_t Base, const uint8_t *Data);
 
   /// Maps \p Base (page-aligned) to the immutable page \p P, read-only and
   /// copy-on-first-write. Replaces whatever was mapped there. The share
@@ -214,11 +210,12 @@ public:
 
   /// Checkpoint support. A decider is architectural state: resuming a
   /// snapshotted execution must reproduce the exact outcome sequence the
-  /// uninterrupted run would have produced. kind() names the
-  /// implementation (a resume must re-create the same kind);
+  /// uninterrupted run would have produced. checkpointKind() names the
+  /// implementation, so a resume can reject a decider of another kind;
   /// checkpointWords() returns the state as opaque words, and
   /// restoreCheckpointWords() installs words captured from a decider of
-  /// the same kind. Stateless deciders need none of it.
+  /// the same kind. Checkpoint libraries record only the LFSR decider's
+  /// stream, so the other deciders report just their kind.
   virtual const char *checkpointKind() const { return "stateless"; }
   virtual std::vector<uint64_t> checkpointWords() const { return {}; }
   virtual void restoreCheckpointWords(const std::vector<uint64_t> &Words) {
@@ -240,12 +237,14 @@ public:
     Unit.lfsr().step();
     return State;
   }
+  /// Length of checkpointWords(): the LFSR state and the evaluation count.
+  static constexpr size_t NumCheckpointWords = 2;
   const char *checkpointKind() const override { return "lfsr"; }
   std::vector<uint64_t> checkpointWords() const override {
     return {Unit.lfsr().state(), Unit.evaluationCount()};
   }
   void restoreCheckpointWords(const std::vector<uint64_t> &Words) override {
-    assert(Words.size() == 2 && "malformed lfsr checkpoint");
+    assert(Words.size() == NumCheckpointWords && "malformed lfsr checkpoint");
     Unit.lfsr().seed(Words[0]);
     Unit.restoreEvaluationCount(Words[1]);
   }
@@ -262,13 +261,6 @@ public:
   explicit HwCounterDecider(uint64_t Phase = 0) : Unit(Phase) {}
   bool decide(FreqCode Freq) override { return Unit.evaluate(Freq); }
   const char *checkpointKind() const override { return "counter"; }
-  std::vector<uint64_t> checkpointWords() const override {
-    return {Unit.evaluationCount()};
-  }
-  void restoreCheckpointWords(const std::vector<uint64_t> &Words) override {
-    assert(Words.size() == 1 && "malformed counter checkpoint");
-    Unit = HwCounterUnit(Words[0]);
-  }
 
 private:
   HwCounterUnit Unit;

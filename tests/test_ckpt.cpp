@@ -11,7 +11,9 @@
 
 #include "ckpt/CheckpointLibrary.h"
 
+#include "Mutations.h"
 #include "ckpt/LibraryPool.h"
+#include "isa/ProgramBuilder.h"
 #include "isa/Serialize.h"
 #include "sample/SampledRunner.h"
 #include "sim/Interpreter.h"
@@ -237,6 +239,26 @@ TEST(CheckpointLibrary, BuildCapturesPeriodicCheckpoints) {
   ASSERT_EQ(Lib.markers().size(), 2u);
   EXPECT_GT(Lib.markers()[0].GlobalInst, 0u);
   EXPECT_LE(Lib.markers()[1].GlobalInst, Lib.totalInsts());
+}
+
+TEST(Checkpoint, SkipsAllZeroPages) {
+  // No checkpoint maps an all-zero page: a reset Machine reproduces it.
+  // A program that stores a zero to a page of its own touches that page
+  // without making it non-zero, so its final checkpoint maps the data
+  // page alone.
+  ProgramBuilder B;
+  const uint64_t Data = B.allocData(8, 8);
+  B.initDataU64(Data, 7);
+  B.emitLoadConst(1, 1ULL << 30);
+  B.emit(Inst::st(RegZero, 1, 0));
+  B.emit(Inst::halt());
+  const Program ZeroStore = B.finish();
+  DecodedProgram DP(ZeroStore);
+  const CheckpointLibrary Lib = buildLibrary(DP);
+  ASSERT_EQ(Lib.finalCheckpoint()->Pages.size(), 1u);
+  EXPECT_EQ(Lib.finalCheckpoint()->Pages[0].first,
+            Data - Data % Memory::pageBytes());
+  EXPECT_EQ(Lib.deciderKind(), "lfsr");
 }
 
 TEST(CheckpointLibrary, BuildIsDeterministic) {
@@ -509,28 +531,24 @@ TEST(CheckpointLibrary, RejectsCorruptPayloads) {
 
   CheckpointLibrary Out;
   std::string Err;
-  // Truncation anywhere must fail cleanly, never crash.
-  for (size_t Keep = 0; Keep != Bytes.size(); ++Keep) {
-    std::vector<uint8_t> Cut(Bytes.begin(), Bytes.begin() + Keep);
-    EXPECT_FALSE(CheckpointLibrary::decode(Cut, Out, Err)) << "kept " << Keep;
-  }
-  // Every single-bit flip either fails with an error or decodes to a
-  // library whose checkpoints resume and read back. One machine takes
-  // every resume, so its caches always hold a page of the previous one.
+  // Truncation anywhere must fail cleanly, never crash. Every single-bit
+  // flip either fails with an error or decodes to a library whose
+  // checkpoints resume and read back. One machine takes every resume, so
+  // its caches always hold a page of the previous one.
   Machine M;
   uint64_t Decoded = 0, Wrong = 0;
-  for (size_t I = 0; I != Bytes.size(); ++I)
-    for (unsigned Bit = 0; Bit != 8; ++Bit) {
-      Bytes[I] ^= static_cast<uint8_t>(1u << Bit);
-      Err.clear();
-      if (CheckpointLibrary::decode(Bytes, Out, Err)) {
-        ++Decoded;
-        Wrong += resumeAndReadBack(Out, M);
-      } else {
-        EXPECT_FALSE(Err.empty()) << "byte " << I << " bit " << Bit;
-      }
-      Bytes[I] ^= static_cast<uint8_t>(1u << Bit);
+  testgen::forEachMutation(Bytes, [&](const std::vector<uint8_t> &Mut) {
+    Err.clear();
+    const bool Ok = CheckpointLibrary::decode(Mut, Out, Err);
+    if (Mut.size() < Bytes.size()) {
+      EXPECT_FALSE(Ok) << "kept " << Mut.size();
+    } else if (Ok) {
+      ++Decoded;
+      Wrong += resumeAndReadBack(Out, M);
+    } else {
+      EXPECT_FALSE(Err.empty());
     }
+  });
   EXPECT_GT(Decoded, 0u); // flips inside page data decode fine
   EXPECT_EQ(Wrong, 0u);
   std::vector<uint8_t> Long = Bytes;
@@ -731,14 +749,30 @@ TEST(LibraryPool, CorruptCacheFileIsRebuiltNotFatal) {
 
   // Bit 4 of byte 2 of the first marker's globalInst: the markers fall out
   // of order, which markersIn's binary search would silently misread.
+  const PayloadOffsets Off = payloadOffsets(*Good);
   std::vector<uint8_t> MarkerFlip = GoodBytes;
-  MarkerFlip[payloadOffsets(*Good).MarkerInst[0] + 2] ^= 0x10;
+  MarkerFlip[Off.MarkerInst[0] + 2] ^= 0x10;
   // A well-formed version-2 payload, as caches written before the
   // basic-block-vector section was dropped hold: the version word plus
   // that (here empty) trailing section.
   std::vector<uint8_t> Version2 = GoodBytes;
   Version2[0] = 2;
   Version2.insert(Version2.end(), 8, 0);
+  // Well-formed payloads whose checkpoints carry 3 decider words where the
+  // lfsr decider has 2, which a resume would trip over: in checkpoint 1
+  // alone, and in every checkpoint. Each checkpoint's u32 word count sits
+  // 273 bytes in, after its instsRetired, pc, halted byte and registers.
+  auto threeWordsIn = [&](std::vector<uint8_t> Bytes, size_t Ckpt) {
+    const size_t Count = Off.CkptInsts[Ckpt] + 273;
+    Bytes[Count] = 3;
+    Bytes.insert(Bytes.begin() + Count + 4 + 16, 8, 0);
+    return Bytes;
+  };
+  const std::vector<uint8_t> ThreeWords = threeWordsIn(GoodBytes, 1);
+  // Back to front, so the offsets of the checkpoints still to patch hold.
+  std::vector<uint8_t> ThreeWordsEverywhere = GoodBytes;
+  for (size_t I = Off.CkptInsts.size(); I-- != 0;)
+    ThreeWordsEverywhere = threeWordsIn(std::move(ThreeWordsEverywhere), I);
   auto writePayload = [&](const std::vector<uint8_t> &Payload) {
     ASSERT_TRUE(saveProgram(MB.Prog, Path,
                             {ContainerSection::make("CKPL", Payload)}));
@@ -755,6 +789,9 @@ TEST(LibraryPool, CorruptCacheFileIsRebuiltNotFatal) {
        }},
       {"marker flip", [&] { writePayload(MarkerFlip); }},
       {"version 2", [&] { writePayload(Version2); }},
+      {"3 decider words", [&] { writePayload(ThreeWords); }},
+      {"3 decider words everywhere",
+       [&] { writePayload(ThreeWordsEverywhere); }},
   };
 
   telemetry::CounterRegistry &Registry = telemetry::CounterRegistry::instance();

@@ -135,24 +135,6 @@ TEST(MemoryCache, LoadProgramReadsTheNewImage) {
   EXPECT_EQ(M.memory().readU64(AddrA), 0u);
 }
 
-TEST(MemoryCache, RestorePageOverCachedPageReadsNewContents) {
-  Memory M;
-  M.writeU64(0x2000, 1);
-  EXPECT_EQ(M.readU64(0x2000), 1u);
-  Memory::PageRef Fresh = filledPage(0x33);
-  M.restorePage(0x2000, Fresh->data());
-  EXPECT_EQ(M.readU64(0x2000), 0x3333333333333333ULL);
-
-  // Over a cached COW share, restore installs an owned page in its place.
-  M.attachShared(0x3000, filledPage(0x44));
-  EXPECT_EQ(M.readU8(0x3000), 0x44);
-  M.restorePage(0x3000, Fresh->data());
-  EXPECT_EQ(M.readU8(0x3000), 0x33);
-  M.writeU8(0x3000, 0x55);
-  EXPECT_EQ(M.readU8(0x3000), 0x55);
-  EXPECT_EQ(M.cowCounts().Copied, 0u);
-}
-
 TEST(MemoryCache, AttachSharedOverCachedPageReadsNewContents) {
   Memory M;
   M.writeU64(0x5000, 9); // owned page, now in both caches
@@ -209,8 +191,8 @@ TEST(MemoryCache, RemapLeavesOtherCachedPagesCorrect) {
   Memory::PageRef Shared = filledPage(0x21);
   M.attachShared(Bases[2], Shared);
   EXPECT_EQ(M.readU64(Bases[5]), Bases[5]);
-  Memory::PageRef Restored = filledPage(0x43);
-  M.restorePage(Bases[5], Restored->data());
+  Memory::PageRef Other = filledPage(0x43);
+  M.attachShared(Bases[5], Other);
   for (size_t I = 0; I != Bases.size(); ++I) {
     uint64_t Want = I == 2   ? 0x2121212121212121ULL
                     : I == 5 ? 0x4343434343434343ULL
@@ -221,8 +203,9 @@ TEST(MemoryCache, RemapLeavesOtherCachedPagesCorrect) {
   for (size_t I = 0; I != Bases.size(); ++I)
     EXPECT_EQ(M.readU8(Bases[I] + 8), static_cast<uint8_t>(I))
         << "page " << I;
-  EXPECT_EQ(M.cowCounts().Copied, 1u);
+  EXPECT_EQ(M.cowCounts().Copied, 2u);
   EXPECT_EQ((*Shared)[8], 0x21);
+  EXPECT_EQ((*Other)[8], 0x43);
 }
 
 TEST(MemoryCache, CachedShareIsPrivatizedExactlyOnce) {
@@ -358,15 +341,11 @@ TEST(MemoryCache, RandomOpsMatchAnUncachedReference) {
       const uint64_t V = Rng();
       M.writeU64(Word, V);
       Ref.writeU64(Word, V);
-    } else if (Kind < 990) {
+    } else if (Kind < 999) {
       std::shared_ptr<Memory::Page> P = Filled();
       Ref.Pages[Key] = {*P, true};
       ++Ref.Attached;
       M.attachShared(Base, std::move(P));
-    } else if (Kind < 999) {
-      std::shared_ptr<Memory::Page> P = Filled();
-      Ref.Pages[Key] = {*P, false};
-      M.restorePage(Base, P->data());
     } else {
       M.reset();
       Ref.Pages.clear();

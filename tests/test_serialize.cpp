@@ -2,6 +2,8 @@
 
 #include "isa/Serialize.h"
 
+#include "Mutations.h"
+#include "ckpt/CheckpointLibrary.h"
 #include "sim/Interpreter.h"
 #include "workloads/Microbench.h"
 
@@ -87,6 +89,54 @@ TEST(Serialize, RejectsTruncation) {
     std::vector<uint8_t> Truncated(Bytes.begin(), Bytes.begin() + Cut);
     EXPECT_FALSE(deserializeProgram(Truncated).Ok) << "cut at " << Cut;
   }
+}
+
+TEST(Serialize, SurvivesTruncationAndBitFlips) {
+  // A real version-2 image kept small: a program whose checkpoint library
+  // holds two distinct pages, its data page before and after the store.
+  ProgramBuilder B;
+  uint64_t Addr = B.allocData(8, 8);
+  B.initDataU64(Addr, 0x1234);
+  B.nameData("x", Addr);
+  B.emitLoadConst(1, Addr);
+  B.emit(Inst::marker(1));
+  B.emit(Inst::li(2, 7));
+  B.emit(Inst::st(2, 1, 0));
+  B.emit(Inst::halt());
+  Program P = B.finish();
+  DecodedProgram DP(P);
+  ckpt::CheckpointLibrary::BuildOptions Options;
+  Options.EveryInsts = 2;
+  ckpt::CheckpointLibrary Lib = ckpt::CheckpointLibrary::build(
+      DP, BrrUnitConfig(), Options, /*Telemetry=*/nullptr);
+  ASSERT_EQ(Lib.numStoredPages(), 2u);
+  ASSERT_GE(Lib.numCheckpoints(), 3u);
+  const std::vector<uint8_t> Image = serializeProgram(P, {Lib.section()});
+  ASSERT_EQ(Image[4], 2);
+
+  // Every prefix and single-bit flip either loads, its CKPL section then
+  // decoding or failing with an error, or fails with an error.
+  size_t Loaded = 0, Rejected = 0, LibsDecoded = 0;
+  testgen::forEachMutation(Image, [&](const std::vector<uint8_t> &Bytes) {
+    LoadResult R = deserializeProgram(Bytes);
+    if (!R.Ok) {
+      EXPECT_FALSE(R.Error.empty());
+      ++Rejected;
+      return;
+    }
+    ++Loaded;
+    if (const ContainerSection *S = R.findSection("CKPL")) {
+      ckpt::CheckpointLibrary Back;
+      std::string Err;
+      if (ckpt::CheckpointLibrary::decode(S->Bytes, Back, Err))
+        ++LibsDecoded;
+      else
+        EXPECT_FALSE(Err.empty());
+    }
+  });
+  EXPECT_GT(LibsDecoded, 0u); // flips inside page data still decode
+  EXPECT_GT(Loaded, LibsDecoded);
+  EXPECT_GE(Rejected, Image.size()); // no proper prefix is an image
 }
 
 TEST(Serialize, RejectsTrailingBytes) {

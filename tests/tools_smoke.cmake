@@ -69,6 +69,81 @@ if(NOT TIMING_OUT MATCHES "hits = 256")
   message(FATAL_ERROR "bor-run --timing count wrong: ${TIMING_OUT}")
 endif()
 
+# Save and resume through a checkpoint library: resuming partway, on
+# either model, ends with the uninterrupted run's sample count, and a
+# second run loads the library instead of building it.
+must_run(REF_OUT ${RUN} ${IMG} --dump-sym=hits)
+if(NOT REF_OUT MATCHES "hits = [0-9]+\n")
+  message(FATAL_ERROR "bor-run printed no hits: ${REF_OUT}")
+endif()
+set(REF_HITS "${CMAKE_MATCH_0}")
+set(LIB_DIR ${WORKDIR}/lib)
+file(REMOVE_RECURSE ${LIB_DIR})
+foreach(MODEL functional timing)
+  set(TIMING_FLAG)
+  if(MODEL STREQUAL "timing")
+    set(TIMING_FLAG --timing)
+  endif()
+  must_run(RESUME_OUT ${RUN} ${IMG} --ckpt-dir=${LIB_DIR} --ckpt-every=5000
+           --resume-at=7000 ${TIMING_FLAG} --dump-sym=hits)
+  if(NOT RESUME_OUT MATCHES "resumed at inst 5000")
+    message(FATAL_ERROR "bor-run --resume-at (${MODEL}) did not resume "
+                        "from 5000: ${RESUME_OUT}")
+  endif()
+  if(NOT RESUME_OUT MATCHES "${REF_HITS}")
+    message(FATAL_ERROR "bor-run --resume-at (${MODEL}) ended with other "
+                        "hits than ${REF_HITS}: ${RESUME_OUT}")
+  endif()
+endforeach()
+if(NOT RESUME_OUT MATCHES "cycles")
+  message(FATAL_ERROR "bor-run --resume-at --timing missing stats: "
+                      "${RESUME_OUT}")
+endif()
+must_run(WARM_OUT ${RUN} ${IMG} --ckpt-dir=${LIB_DIR} --ckpt-every=5000
+         --resume-at=7000 --counters)
+if(NOT WARM_OUT MATCHES "ckpt\\.libraries\\.loaded +1\n")
+  message(FATAL_ERROR "second --ckpt-dir run did not load the library: "
+                      "${WARM_OUT}")
+endif()
+if(WARM_OUT MATCHES "ckpt\\.libraries\\.built")
+  message(FATAL_ERROR "second --ckpt-dir run rebuilt the library: "
+                      "${WARM_OUT}")
+endif()
+
+# --max-insts bounds the resume point too: past the budget the run resumes
+# from the last checkpoint within it and stops short of the halt (exit 1).
+execute_process(COMMAND ${RUN} ${IMG} --ckpt-dir=${LIB_DIR} --ckpt-every=5000
+                        --resume-at=100000 --max-insts=6000
+                RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 1 OR NOT OUT MATCHES "resumed at inst 5000")
+  message(FATAL_ERROR "--resume-at past --max-insts: expected a resume at "
+                      "5000 and exit 1, got ${RC}: ${OUT}\n${ERR}")
+endif()
+
+# --max-insts bounds the build pass too: on a program that never halts the
+# run stops at the budget (exit 1) and caches no partial library.
+file(WRITE ${WORKDIR}/spin.s "
+loop:
+        addi r2, r2, 1
+        jmp loop
+")
+must_run(SPIN_AS_OUT ${AS} ${WORKDIR}/spin.s -o ${WORKDIR}/spin.borb)
+file(REMOVE_RECURSE ${WORKDIR}/spinlib)
+execute_process(COMMAND ${RUN} ${WORKDIR}/spin.borb
+                        --ckpt-dir=${WORKDIR}/spinlib --ckpt-every=500
+                        --resume-at=700 --max-insts=1000
+                RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR
+                TIMEOUT 30)
+if(NOT RC EQUAL 1)
+  message(FATAL_ERROR "spin with --max-insts=1000: expected exit 1, got "
+                      "${RC}: ${OUT}\n${ERR}")
+endif()
+file(GLOB SPIN_CACHE ${WORKDIR}/spinlib/*)
+if(SPIN_CACHE)
+  message(FATAL_ERROR "a build cut short by --max-insts was cached: "
+                      "${SPIN_CACHE}")
+endif()
+
 # Pipeview: renders stage letters.
 must_run(PV_OUT ${PIPEVIEW} ${IMG} --insts=12)
 if(NOT PV_OUT MATCHES "F fetch")
@@ -204,6 +279,14 @@ must_reject(--max-insts ${RUN} ${IMG} --max-insts=lots)
 must_reject(--seed ${RUN} ${IMG} --seed=-1)
 must_reject(--ckpt-every ${RUN} ${IMG} --ckpt-dir=${WORKDIR}/ckpt
             --ckpt-every=1e5)
+# Unknown flags, such as the removed standalone-snapshot ones, and flags
+# that do not combine with --ckpt-dir are named too.
+must_reject(--checkpoint ${RUN} ${IMG} --checkpoint=${WORKDIR}/x.borb)
+must_reject(--checkpoint-at ${RUN} ${IMG} --checkpoint-at=5)
+must_reject(--resume ${RUN} ${IMG} --resume)
+must_reject(--print-insts ${RUN} ${IMG} --print-insts=3
+            --ckpt-dir=${WORKDIR}/ckpt)
+must_reject(--timing ${RUN} ${IMG} --timing --ckpt-dir=${WORKDIR}/ckpt)
 must_reject(--interval ${GEN} micro --framework=brr --interval=1000
             -o ${WORKDIR}/reject.borb)
 must_reject(--interval ${GEN} micro --framework=brr --interval=1e3

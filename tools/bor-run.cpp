@@ -19,38 +19,37 @@
 //   --counters             print the telemetry counter snapshot after the
 //                          run (see docs/OBSERVABILITY.md)
 //   --dump-sym=NAME        after the run, print the u64 at data symbol NAME
-//   --checkpoint=PATH      functional mode: snapshot the architectural
-//                          state (registers, memory, decider) into a BORB
-//                          image at PATH, then keep running
-//   --checkpoint-at=N      take the checkpoint after N retired
-//                          instructions (default 0 = at the start)
-//   --resume               treat the input as a checkpoint image: restore
-//                          its state and continue (functional or --timing)
-//   --ckpt-dir=DIR         functional mode, lfsr decider: build (or load
-//                          from DIR) a COW checkpoint library for the
-//                          program — one checkpoint every --ckpt-every
-//                          insts — persisting it in DIR as a BORB v2 image
-//                          for later bor-run/bor-bench invocations
+//   --ckpt-dir=DIR         lfsr decider: build (or load from DIR) a COW
+//                          checkpoint library for the program — one
+//                          checkpoint every --ckpt-every insts — persisting
+//                          it in DIR as a BORB v2 image for later
+//                          bor-run/bor-bench invocations
 //   --ckpt-every=N         library capture period (default 100000)
 //   --resume-at=N          with --ckpt-dir: resume from the nearest
 //                          library checkpoint at or before inst N, execute
-//                          the gap, and continue to --max-insts
+//                          the gap functionally, and run the rest on the
+//                          functional model or, with --timing, the timing
+//                          model
 //
-// Exit status: 0 if the program halted, 1 otherwise, 2 on a usage error
-// (an unknown flag or a numeric flag whose value is not a whole number).
+// --max-insts bounds everything a run executes: a --ckpt-dir build pass,
+// the gap before --resume-at and the rest of the run alike.
+//
+// Exit status: 0 if the program halted within --max-insts, 1 otherwise, 2
+// on a usage error (an unknown flag, a numeric flag whose value is not a
+// whole number, or flags that do not combine).
 //
 //===----------------------------------------------------------------------===//
 
 #include "ckpt/LibraryPool.h"
 #include "isa/Disasm.h"
 #include "isa/Serialize.h"
-#include "sample/Checkpoint.h"
 #include "sim/Interpreter.h"
 #include "support/ParseNum.h"
 #include "telemetry/Counters.h"
 #include "telemetry/Telemetry.h"
 #include "uarch/Pipeline.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -73,9 +72,6 @@ struct Options {
   std::string TracePath;
   bool Counters = false;
   std::vector<std::string> DumpSymbols;
-  std::string CheckpointPath;
-  uint64_t CheckpointAt = 0;
-  bool Resume = false;
   std::string CkptDir;
   uint64_t CkptEvery = 100000;
   uint64_t ResumeAt = 0;
@@ -101,12 +97,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
       Opt.Counters = true;
     } else if (std::strncmp(A, "--dump-sym=", 11) == 0) {
       Opt.DumpSymbols.push_back(A + 11);
-    } else if (std::strncmp(A, "--checkpoint=", 13) == 0) {
-      Opt.CheckpointPath = A + 13;
-    } else if (std::strncmp(A, "--checkpoint-at=", 16) == 0) {
-      Opt.CheckpointAt = parseU64Flag("bor-run", "--checkpoint-at", A + 16);
-    } else if (std::strcmp(A, "--resume") == 0) {
-      Opt.Resume = true;
     } else if (std::strncmp(A, "--ckpt-dir=", 11) == 0) {
       Opt.CkptDir = A + 11;
     } else if (std::strncmp(A, "--ckpt-every=", 13) == 0) {
@@ -115,6 +105,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opt) {
       Opt.ResumeAt = parseU64Flag("bor-run", "--resume-at", A + 12);
       Opt.HasResumeAt = true;
     } else if (A[0] == '-') {
+      std::fprintf(stderr, "bor-run: unknown flag '%s'\n", A);
       return false;
     } else if (!Opt.Input) {
       Opt.Input = A;
@@ -200,140 +191,105 @@ void printFunctionalStats(const RunStats &S) {
               S.BrrTaken, S.Loads, S.Stores, S.Halted ? "yes" : "no");
 }
 
-/// --resume: the input is a checkpoint image; restore and continue under
-/// either model.
-int resumeMain(const Options &Opt) {
-  Program P;
-  MachineCheckpoint C;
-  std::string Err;
-  if (!loadCheckpointFile(Opt.Input, P, C, Err)) {
-    std::fprintf(stderr, "bor-run: %s\n", Err.c_str());
-    return 1;
+/// Whether the checkpoint-library flags combine with the rest; when they
+/// do not, prints a diagnostic naming the offending flag.
+bool checkCkptFlags(const Options &Opt) {
+  if (Opt.CkptDir.empty()) {
+    if (Opt.HasResumeAt)
+      std::fprintf(stderr, "bor-run: --resume-at needs --ckpt-dir\n");
+    return !Opt.HasResumeAt;
   }
-
-  std::unique_ptr<BrrDecider> Decider = makeDecider(Opt);
-  if (!Decider) {
-    std::fprintf(stderr, "bor-run: unknown decider '%s'\n",
-                 Opt.Decider.c_str());
-    return 2;
-  }
-  Machine M;
-  if (!restoreCheckpoint(C, M, *Decider, Err)) {
-    std::fprintf(stderr, "bor-run: %s (pass the matching --decider)\n",
-                 Err.c_str());
-    return 2;
-  }
-  std::printf("resumed at pc %" PRIu64 " after %" PRIu64 " insts\n", M.pc(),
-              C.InstsRetired);
-
-  ToolTelemetry Tel(Opt);
-  DecodedProgram Dec(P);
-  int Rc;
-  if (Opt.Timing) {
-    MicroarchState Uarch((PipelineConfig()));
-    {
-      Pipeline Pipe(Dec, M, Uarch, PipelineConfig(), *Decider);
-      Pipe.setTelemetry(Tel.sink());
-      telemetry::TraceSpan Span(Tel.Trace.get(), "resume", "bor-run");
-      RunResult Result = Pipe.run(Opt.MaxInsts, /*RequireHalt=*/false);
-      Span.close();
-      std::printf("%s", describeStats(Result.Stats).c_str());
-    }
-    // The attached Pipeline borrows Uarch and so never publishes it; this
-    // run owns it, so publish once here.
-    publishUarchCounters(Uarch);
-    dumpSymbols(Opt, P, M);
-    Rc = M.halted() ? 0 : 1;
-  } else {
-    {
-      Interpreter Interp(Dec, M, *Decider, /*LoadImage=*/false);
-      telemetry::TraceSpan Span(Tel.Trace.get(), "resume", "bor-run");
-      RunStats S = Interp.run(Opt.MaxInsts, /*RequireHalt=*/false);
-      Span.close();
-      printFunctionalStats(S);
-      Rc = S.Halted ? 0 : 1;
-    }
-    dumpSymbols(Opt, P, M);
-  }
-  Decider.reset();
-  if (!Tel.finish(Opt))
-    return 1;
-  return Rc;
-}
-
-/// --ckpt-dir: build (or load from the cache directory) the program's COW
-/// checkpoint library, then optionally resume from it. Functional mode,
-/// lfsr decider only — the library records the decider stream.
-int ckptLibraryMain(const Options &Opt, const LoadResult &R) {
-  if (Opt.Timing) {
-    std::fprintf(stderr,
-                 "bor-run: --ckpt-dir builds functional checkpoints; drop "
-                 "--timing\n");
-    return 2;
-  }
-  if (Opt.Decider != "lfsr") {
+  if (Opt.Decider != "lfsr")
     std::fprintf(stderr,
                  "bor-run: checkpoint libraries record the lfsr decider "
                  "stream; --decider=%s cannot resume from one\n",
                  Opt.Decider.c_str());
-    return 2;
-  }
-  if (Opt.CkptEvery == 0) {
+  else if (Opt.CkptEvery == 0)
     std::fprintf(stderr, "bor-run: --ckpt-every needs a whole number >= 1\n");
-    return 2;
-  }
+  else if (Opt.PrintInsts != 0)
+    std::fprintf(stderr, "bor-run: --print-insts traces a run from "
+                         "instruction 0 and does not combine with "
+                         "--ckpt-dir\n");
+  else if (Opt.Timing && !Opt.HasResumeAt)
+    std::fprintf(stderr, "bor-run: --timing with --ckpt-dir times the run "
+                         "after a checkpoint; add --resume-at=N\n");
+  else
+    return true;
+  return false;
+}
 
+/// --resume-at: resumes \p Lib's nearest checkpoint at or before the
+/// resume point, executes the gap functionally, and runs the rest on the
+/// interpreter or, with --timing, on a Pipeline attached to the resumed
+/// machine. The resume point and the rest are both clamped to --max-insts.
+int resumeFromLibrary(const Options &Opt, const DecodedProgram &Dec,
+                      const ckpt::CheckpointLibrary &Lib,
+                      const BrrUnitConfig &Cfg, const ToolTelemetry &Tel) {
+  const uint64_t Target = std::min(Opt.ResumeAt, Opt.MaxInsts);
+  // Never null: every library holds checkpoint 0 at instruction 0.
+  const ckpt::LibraryCheckpoint &C = *Lib.nearestAtOrBefore(Target);
+  Machine M;
+  BrrUnitDecider Decider(Cfg);
+  std::string Err;
+  if (!Lib.resume(C, M, Decider, Err)) {
+    std::fprintf(stderr, "bor-run: %s\n", Err.c_str());
+    return 1;
+  }
+  std::printf("resumed at inst %" PRIu64 " (nearest checkpoint at or "
+              "before %" PRIu64 "), pc %" PRIu64 "\n",
+              C.InstsRetired, Opt.ResumeAt, M.pc());
+  {
+    Interpreter Interp(Dec, M, Decider, /*LoadImage=*/false);
+    telemetry::TraceSpan Span(Tel.Trace.get(), "resume", "bor-run");
+    Interp.run(Target - C.InstsRetired, /*RequireHalt=*/false);
+    const uint64_t Budget =
+        Opt.MaxInsts - C.InstsRetired - Interp.stats().Insts;
+    if (Opt.Timing) {
+      MicroarchState Uarch((PipelineConfig()));
+      {
+        Pipeline Pipe(Dec, M, Uarch, PipelineConfig(), Decider);
+        Pipe.setTelemetry(Tel.sink());
+        RunResult Result = Pipe.run(Budget, /*RequireHalt=*/false);
+        std::printf("%s", describeStats(Result.Stats).c_str());
+      }
+      // The attached Pipeline borrows Uarch and so never publishes it;
+      // this run owns it, so publish once here.
+      publishUarchCounters(Uarch);
+    } else {
+      printFunctionalStats(Interp.run(Budget, /*RequireHalt=*/false));
+    }
+  }
+  dumpSymbols(Opt, Dec.program(), M);
+  return M.halted() ? 0 : 1;
+}
+
+/// --ckpt-dir: build (or load from the cache directory) the program's COW
+/// checkpoint library within --max-insts, then resume from it when
+/// --resume-at is given.
+int ckptLibraryMain(const Options &Opt, const Program &P) {
   ToolTelemetry Tel(Opt);
   BrrUnitConfig Cfg;
   Cfg.Seed = Opt.Seed;
-  DecodedProgram Dec(R.Prog);
-  int Rc = 0;
+  DecodedProgram Dec(P);
+  int Rc;
   {
     ckpt::LibraryPool Pool(Opt.CkptDir);
-    std::shared_ptr<const ckpt::CheckpointLibrary> Lib =
-        Pool.getOrBuild(Dec, Cfg, Opt.CkptEvery, Tel.sink());
+    std::shared_ptr<const ckpt::CheckpointLibrary> Lib = Pool.getOrBuild(
+        Dec, Cfg, Opt.CkptEvery, Tel.sink(), Opt.MaxInsts);
+    // The pool persists only a library that reached the halt.
+    const std::string Where =
+        Lib->streamHalted()
+            ? Pool.cachePathFor(
+                  ckpt::LibraryPool::keyFor(P, Cfg, Opt.CkptEvery))
+            : "(not cached: the build stopped at --max-insts)";
     std::printf("checkpoint library %s: %zu checkpoints every %" PRIu64
                 " insts, %" PRIu64 " insts total, %zu distinct pages\n",
-                Pool.cachePathFor(
-                        ckpt::LibraryPool::keyFor(R.Prog, Cfg, Opt.CkptEvery))
-                    .c_str(),
-                Lib->numCheckpoints(), Lib->periodInsts(), Lib->totalInsts(),
-                Lib->numStoredPages());
-
-    if (Opt.HasResumeAt) {
-      const ckpt::LibraryCheckpoint *C =
-          Lib->nearestAtOrBefore(Opt.ResumeAt);
-      if (!C) {
-        std::fprintf(stderr,
-                     "bor-run: no library checkpoint at or before inst "
-                     "%" PRIu64 "\n",
-                     Opt.ResumeAt);
-        return 1;
-      }
-      Machine M;
-      BrrUnitDecider Decider(Cfg);
-      std::string Err;
-      if (!Lib->resume(*C, M, Decider, Err)) {
-        std::fprintf(stderr, "bor-run: %s\n", Err.c_str());
-        return 1;
-      }
-      std::printf("resumed at inst %" PRIu64 " (nearest checkpoint at or "
-                  "before %" PRIu64 "), pc %" PRIu64 "\n",
-                  C->InstsRetired, Opt.ResumeAt, M.pc());
-      {
-        Interpreter Interp(Dec, M, Decider, /*LoadImage=*/false);
-        telemetry::TraceSpan Span(Tel.Trace.get(), "resume", "bor-run");
-        if (Opt.ResumeAt > C->InstsRetired)
-          Interp.run(Opt.ResumeAt - C->InstsRetired, /*RequireHalt=*/false);
-        uint64_t Global = C->InstsRetired + Interp.stats().Insts;
-        uint64_t Budget = Opt.MaxInsts > Global ? Opt.MaxInsts - Global : 0;
-        RunStats S = Interp.run(Budget, /*RequireHalt=*/false);
-        Span.close();
-        printFunctionalStats(S);
-        Rc = S.Halted ? 0 : 1;
-      }
-      dumpSymbols(Opt, R.Prog, M);
-    }
+                Where.c_str(), Lib->numCheckpoints(), Lib->periodInsts(),
+                Lib->totalInsts(), Lib->numStoredPages());
+    if (Opt.HasResumeAt)
+      Rc = resumeFromLibrary(Opt, Dec, *Lib, Cfg, Tel);
+    else
+      Rc = (Lib->streamHalted() && Lib->totalInsts() <= Opt.MaxInsts) ? 0 : 1;
   }
   if (!Tel.finish(Opt))
     return 1;
@@ -350,17 +306,11 @@ int main(int Argc, char **Argv) {
                  "[--decider=lfsr|counter|never|always] [--seed=N] "
                  "[--max-insts=N] [--print-insts=N] [--dump-sym=NAME]...\n"
                  "       [--trace=PATH] [--counters] "
-                 "[--checkpoint=PATH [--checkpoint-at=N]] "
-                 "[--resume]\n"
-                 "       [--ckpt-dir=DIR [--ckpt-every=N] [--resume-at=N]]\n");
+                 "[--ckpt-dir=DIR [--ckpt-every=N] [--resume-at=N]]\n");
     return 2;
   }
-  if (Opt.HasResumeAt && Opt.CkptDir.empty()) {
-    std::fprintf(stderr, "bor-run: --resume-at needs --ckpt-dir\n");
+  if (!checkCkptFlags(Opt))
     return 2;
-  }
-  if (Opt.Resume)
-    return resumeMain(Opt);
 
   LoadResult R = loadProgramFile(Opt.Input);
   if (!R.Ok) {
@@ -369,19 +319,12 @@ int main(int Argc, char **Argv) {
   }
 
   if (!Opt.CkptDir.empty())
-    return ckptLibraryMain(Opt, R);
+    return ckptLibraryMain(Opt, R.Prog);
 
   std::unique_ptr<BrrDecider> Decider = makeDecider(Opt);
   if (!Decider) {
     std::fprintf(stderr, "bor-run: unknown decider '%s'\n",
                  Opt.Decider.c_str());
-    return 2;
-  }
-  if (!Opt.CheckpointPath.empty() && Opt.Timing) {
-    std::fprintf(stderr,
-                 "bor-run: --checkpoint snapshots architectural state and "
-                 "is a functional-mode feature; drop --timing (a later "
-                 "--resume --timing run times the rest)\n");
     return 2;
   }
 
@@ -420,21 +363,6 @@ int main(int Argc, char **Argv) {
       std::printf("%6" PRIu64 "  %s\n", Rec.Pc / 4,
                   disassemble(Rec.I, static_cast<int64_t>(Rec.Pc / 4))
                       .c_str());
-    }
-
-    if (!Opt.CheckpointPath.empty()) {
-      uint64_t Already = Interp.stats().Insts;
-      if (Opt.CheckpointAt > Already)
-        Interp.run(Opt.CheckpointAt - Already, /*RequireHalt=*/false);
-      MachineCheckpoint C =
-          captureCheckpoint(M, *Decider, Interp.stats().Insts);
-      if (!saveCheckpointFile(R.Prog, C, Opt.CheckpointPath)) {
-        std::fprintf(stderr, "bor-run: cannot write checkpoint '%s'\n",
-                     Opt.CheckpointPath.c_str());
-        return 1;
-      }
-      std::printf("checkpoint written to %s at inst %" PRIu64 "\n",
-                  Opt.CheckpointPath.c_str(), C.InstsRetired);
     }
 
     uint64_t Budget = Opt.MaxInsts > Interp.stats().Insts
