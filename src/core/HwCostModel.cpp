@@ -4,7 +4,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstdio>
 
 using namespace bor;
 
@@ -66,16 +65,4 @@ HwCostEstimate bor::estimateBrrCost(const HwCostInputs &In) {
                              In.DecodeWidth * (AndTree + Mux) +
                              In.DecodeWidth;
   return Total;
-}
-
-std::string bor::describeBrrCost(const HwCostInputs &In) {
-  HwCostEstimate E = estimateBrrCost(In);
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "%u-wide %s%s: lfsr=%u bits, state=%u bits, gates=%u macro "
-                "(%u two-input equiv)",
-                In.DecodeWidth, In.Replicated ? "replicated" : "shared",
-                In.Deterministic ? " deterministic" : "", In.LfsrWidth,
-                E.StateBits, E.MacroGates, E.TwoInputEquivGates);
-  return Buf;
 }

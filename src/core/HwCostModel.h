@@ -20,8 +20,6 @@
 #ifndef BOR_CORE_HWCOSTMODEL_H
 #define BOR_CORE_HWCOSTMODEL_H
 
-#include <string>
-
 namespace bor {
 
 /// Parameters of a branch-on-random implementation to be costed.
@@ -53,9 +51,6 @@ struct HwCostEstimate {
 
 /// Estimates the hardware cost of the configuration \p In.
 HwCostEstimate estimateBrrCost(const HwCostInputs &In);
-
-/// One-line human-readable summary used by the hw_cost_model bench.
-std::string describeBrrCost(const HwCostInputs &In);
 
 } // namespace bor
 

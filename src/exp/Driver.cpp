@@ -61,27 +61,35 @@ struct DriverOptions {
 /// (timed out) — degraded, not failed.
 constexpr int PartialResultExit = 3;
 
-/// Accepts both "--flag value" and "--flag=value". Returns nullptr when
-/// \p Arg does not start with \p Flag; advances \p I past a detached
-/// value.
-const char *flagValue(const char *Flag, char **Argv, int Argc, int &I) {
+/// Parses the flag at \p Argv[\p I] into \p Opt, advancing \p I past a
+/// detached value. Returns false when the flag is not recognized; a
+/// recognized flag with a bad value prints a diagnostic and exits 2
+/// rather than running with defaults.
+bool parseFlag(char **Argv, int Argc, int &I, DriverOptions &Opt) {
   const char *A = Argv[I];
-  size_t Len = std::strlen(Flag);
-  if (std::strncmp(A, Flag, Len) != 0)
-    return nullptr;
-  if (A[Len] == '=')
-    return A + Len + 1;
-  if (A[Len] == '\0' && I + 1 < Argc)
-    return Argv[++I];
-  return nullptr;
-}
-
-/// Shared flags of bor-bench and the per-figure wrappers. Returns false
-/// when \p A is not recognized; a recognized flag with a bad value prints
-/// a diagnostic and exits non-zero rather than running with defaults.
-bool parseCommon(const char *A, char **Argv, int Argc, int &I,
-                 DriverOptions &Opt) {
-  if (const char *V = flagValue("--threads", Argv, Argc, I)) {
+  auto Value = [&](const char *Flag) {
+    return flagValue("bor-bench", Flag, Argv, Argc, I);
+  };
+  auto Path = [](const char *Flag, const char *V) {
+    return pathFlag("bor-bench", Flag, V);
+  };
+  if (std::strcmp(A, "--list") == 0) {
+    Opt.List = true;
+    return true;
+  }
+  if (std::strcmp(A, "--list-counters") == 0) {
+    Opt.ListCounters = true;
+    return true;
+  }
+  if (std::strcmp(A, "--all") == 0) {
+    Opt.All = true;
+    return true;
+  }
+  if (const char *V = Value("--experiment")) {
+    Opt.Experiments.push_back(V);
+    return true;
+  }
+  if (const char *V = Value("--threads")) {
     uint64_t N = 0;
     if (!parseU64(V, N) || N == 0 || N > 4096) {
       std::fprintf(stderr,
@@ -93,7 +101,7 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.Threads = static_cast<unsigned>(N);
     return true;
   }
-  if (const char *V = flagValue("--scale", Argv, Argc, I)) {
+  if (const char *V = Value("--scale")) {
     uint64_t N = 0;
     if (!parseU64(V, N) || N == 0) {
       std::fprintf(stderr,
@@ -105,8 +113,8 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.Scale = N;
     return true;
   }
-  if (const char *V = flagValue("--json", Argv, Argc, I)) {
-    Opt.JsonPath = V;
+  if (const char *V = Value("--json")) {
+    Opt.JsonPath = Path("--json", V);
     return true;
   }
   if (std::strcmp(A, "--no-json") == 0) {
@@ -121,7 +129,7 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.Sample = true;
     return true;
   }
-  if (const char *V = flagValue("--sample-period", Argv, Argc, I)) {
+  if (const char *V = Value("--sample-period")) {
     if (!parseU64(V, Opt.Plan.PeriodInsts) || Opt.Plan.PeriodInsts == 0) {
       std::fprintf(stderr,
                    "bor-bench: --sample-period needs a whole number >= 1, "
@@ -132,7 +140,7 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.Sample = true;
     return true;
   }
-  if (const char *V = flagValue("--sample-warm", Argv, Argc, I)) {
+  if (const char *V = Value("--sample-warm")) {
     if (!parseU64(V, Opt.Plan.WarmupInsts)) {
       std::fprintf(stderr,
                    "bor-bench: --sample-warm needs a whole number, got "
@@ -143,7 +151,7 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.Sample = true;
     return true;
   }
-  if (const char *V = flagValue("--sample-measure", Argv, Argc, I)) {
+  if (const char *V = Value("--sample-measure")) {
     if (!parseU64(V, Opt.Plan.MeasureInsts) || Opt.Plan.MeasureInsts == 0) {
       std::fprintf(stderr,
                    "bor-bench: --sample-measure needs a whole number >= 1, "
@@ -158,40 +166,32 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.CkptLibrary = true;
     return true;
   }
-  if (const char *V = flagValue("--ckpt-dir", Argv, Argc, I)) {
-    if (*V == '\0') {
-      std::fprintf(stderr, "bor-bench: --ckpt-dir needs a directory path\n");
-      std::exit(2);
-    }
-    Opt.CkptDir = V;
+  if (const char *V = Value("--ckpt-dir")) {
+    Opt.CkptDir = Path("--ckpt-dir", V);
     Opt.CkptLibrary = true;
     return true;
   }
-  if (const char *V = flagValue("--trace", Argv, Argc, I)) {
-    Opt.TracePath = V;
+  if (const char *V = Value("--trace")) {
+    Opt.TracePath = Path("--trace", V);
     return true;
   }
-  if (const char *V = flagValue("--flamegraph", Argv, Argc, I)) {
-    Opt.FlamegraphPath = V;
+  if (const char *V = Value("--flamegraph")) {
+    Opt.FlamegraphPath = Path("--flamegraph", V);
     return true;
   }
   if (std::strcmp(A, "--counters") == 0) {
     Opt.Counters = true;
     return true;
   }
-  if (const char *V = flagValue("--counters-out", Argv, Argc, I)) {
-    Opt.CountersOut = V;
+  if (const char *V = Value("--counters-out")) {
+    Opt.CountersOut = Path("--counters-out", V);
     return true;
   }
-  if (const char *V = flagValue("--run-dir", Argv, Argc, I)) {
-    if (*V == '\0') {
-      std::fprintf(stderr, "bor-bench: --run-dir needs a directory path\n");
-      std::exit(2);
-    }
-    Opt.RunDir = V;
+  if (const char *V = Value("--run-dir")) {
+    Opt.RunDir = Path("--run-dir", V);
     return true;
   }
-  if (const char *V = flagValue("--progress", Argv, Argc, I)) {
+  if (const char *V = Value("--progress")) {
     if (std::strcmp(V, "auto") != 0 && std::strcmp(V, "off") != 0 &&
         std::strcmp(V, "text") != 0 && std::strcmp(V, "jsonl") != 0) {
       std::fprintf(stderr,
@@ -203,7 +203,7 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.Progress = V;
     return true;
   }
-  if (const char *V = flagValue("--cell-timeout", Argv, Argc, I)) {
+  if (const char *V = Value("--cell-timeout")) {
     Opt.CellTimeoutS = parseF64Flag("bor-bench", "--cell-timeout", V);
     if (Opt.CellTimeoutS <= 0) {
       std::fprintf(stderr,
@@ -218,44 +218,25 @@ bool parseCommon(const char *A, char **Argv, int Argc, int &I,
     Opt.UpdateBaselines = true;
     return true;
   }
-  if (const char *V = flagValue("--baseline-dir", Argv, Argc, I)) {
-    if (*V == '\0') {
-      std::fprintf(stderr,
-                   "bor-bench: --baseline-dir needs a directory path\n");
-      std::exit(2);
-    }
-    Opt.BaselineDir = V;
+  if (const char *V = Value("--baseline-dir")) {
+    Opt.BaselineDir = Path("--baseline-dir", V);
     Opt.UpdateBaselines = true;
     return true;
   }
   return false;
 }
 
-/// Resolves the progress mode: the --progress flag wins; otherwise the
-/// BOR_HEARTBEAT environment knob ("json" selects the machine-readable
-/// stream, any other non-zero value the human line, 0/empty forces off);
-/// otherwise text only when a human is watching stderr.
+/// Resolves the progress mode: the --progress flag, where "auto" (the
+/// default) means text only when a human is watching stderr.
 ProgressMode progressMode(const DriverOptions &Opt) {
-  auto Auto = [] {
-    return isatty(fileno(stderr)) != 0 ? ProgressMode::Text
-                                       : ProgressMode::Off;
-  };
-  if (!Opt.Progress.empty()) {
-    if (Opt.Progress == "off")
-      return ProgressMode::Off;
-    if (Opt.Progress == "text")
-      return ProgressMode::Text;
-    if (Opt.Progress == "jsonl")
-      return ProgressMode::Jsonl;
-    return Auto(); // "auto"
-  }
-  if (const char *Env = std::getenv("BOR_HEARTBEAT")) {
-    if (std::strcmp(Env, "json") == 0 || std::strcmp(Env, "jsonl") == 0)
-      return ProgressMode::Jsonl;
-    return Env[0] != '\0' && Env[0] != '0' ? ProgressMode::Text
-                                           : ProgressMode::Off;
-  }
-  return Auto();
+  if (Opt.Progress == "off")
+    return ProgressMode::Off;
+  if (Opt.Progress == "text")
+    return ProgressMode::Text;
+  if (Opt.Progress == "jsonl")
+    return ProgressMode::Jsonl;
+  return isatty(fileno(stderr)) != 0 ? ProgressMode::Text
+                                     : ProgressMode::Off;
 }
 
 /// Writes \p Text to \p Path atomically (temp file + rename), creating
@@ -351,7 +332,7 @@ int checkPlan(const DriverOptions &Opt) {
 void printRegisteredExperiments(std::FILE *Out) {
   for (const auto &[Name, Description] :
        ExperimentRegistry::instance().list())
-    std::fprintf(Out, "  %-12s %s\n", Name.c_str(), Description.c_str());
+    std::fprintf(Out, "  %-16s %s\n", Name.c_str(), Description.c_str());
 }
 
 /// Where one experiment's JSON-lines results go: the run dir, the
@@ -444,7 +425,7 @@ std::string commandLine(int Argc, char **Argv) {
   return Cmd;
 }
 
-/// Flag-conflict checks shared by benchMain and the per-figure wrappers.
+/// Checks that the output flags do not contradict each other.
 int checkOutputFlags(const DriverOptions &Opt) {
   if (!Opt.RunDir.empty() && Opt.UpdateBaselines) {
     std::fprintf(stderr,
@@ -469,11 +450,9 @@ int checkOutputFlags(const DriverOptions &Opt) {
   return 0;
 }
 
-/// One experiment loop shared by benchMain and the wrappers: telemetry
-/// setup, the runs, and output finalization (including the run manifest).
-int runAll(const std::vector<std::string> &Experiments,
-           const DriverOptions &Opt, const std::string &Tool,
-           const std::string &Command) {
+/// Runs every requested experiment: telemetry setup, the runs, and
+/// output finalization (including the run manifest).
+int runAll(const DriverOptions &Opt, const std::string &Command) {
   std::unique_ptr<telemetry::TraceWriter> Trace = setUpTelemetry(Opt);
   std::unique_ptr<telemetry::TimeSeries> Series;
   if (!Opt.RunDir.empty())
@@ -486,7 +465,7 @@ int runAll(const std::vector<std::string> &Experiments,
       Trace || Series ? &Sink : nullptr;
 
   ManifestInfo Manifest;
-  Manifest.Tool = Tool;
+  Manifest.Tool = "bor-bench";
   Manifest.Command = Command;
   Manifest.Scale = Opt.Scale;
   Manifest.Threads = Opt.Threads;
@@ -501,10 +480,10 @@ int runAll(const std::vector<std::string> &Experiments,
     Pool = std::make_unique<ckpt::LibraryPool>(Opt.CkptDir);
 
   bool Partial = false;
-  for (size_t I = 0; I != Experiments.size(); ++I) {
+  for (size_t I = 0; I != Opt.Experiments.size(); ++I) {
     if (I)
       std::printf("\n");
-    if (int RC = runOne(Experiments[I], Opt, SinkPtr, Pool.get(),
+    if (int RC = runOne(Opt.Experiments[I], Opt, SinkPtr, Pool.get(),
                         Opt.RunDir.empty() ? nullptr : &Manifest, Partial))
       return RC;
   }
@@ -521,16 +500,7 @@ int benchMain(int Argc, char **Argv) {
   DriverOptions Opt;
 
   for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    if (std::strcmp(A, "--list") == 0) {
-      Opt.List = true;
-    } else if (std::strcmp(A, "--list-counters") == 0) {
-      Opt.ListCounters = true;
-    } else if (std::strcmp(A, "--all") == 0) {
-      Opt.All = true;
-    } else if (const char *V = flagValue("--experiment", Argv, Argc, I)) {
-      Opt.Experiments.push_back(V);
-    } else if (!parseCommon(A, Argv, Argc, I, Opt)) {
+    if (!parseFlag(Argv, Argc, I, Opt)) {
       std::fprintf(stderr,
                    "usage: bor-bench --list | --list-counters\n"
                    "       bor-bench --experiment NAME [--threads N] "
@@ -563,7 +533,7 @@ int benchMain(int Argc, char **Argv) {
   }
   if (Opt.List) {
     for (const auto &[Name, Description] : Registry.list())
-      std::printf("%-12s %s\n", Name.c_str(), Description.c_str());
+      std::printf("%-16s %s\n", Name.c_str(), Description.c_str());
     return 0;
   }
   if (Opt.All) {
@@ -584,34 +554,7 @@ int benchMain(int Argc, char **Argv) {
     return 2;
   }
 
-  return runAll(Opt.Experiments, Opt, "bor-bench", commandLine(Argc, Argv));
-}
-
-int experimentMain(const char *Name, int Argc, char **Argv) {
-  registerAllExperiments();
-  DriverOptions Opt;
-  for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    if (!parseCommon(A, Argv, Argc, I, Opt)) {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--json PATH | --no-json] "
-                   "[--no-table] [--scale N]\n"
-                   "       [--sample] [--sample-period N] [--sample-warm N] "
-                   "[--sample-measure N]\n"
-                   "       [--ckpt-library] [--ckpt-dir DIR]\n"
-                   "       [--trace PATH] [--flamegraph PATH] [--counters] "
-                   "[--counters-out PATH]\n"
-                   "       [--run-dir DIR] [--update-baselines] "
-                   "[--baseline-dir DIR] [--progress MODE]\n",
-                   Argv[0]);
-      return 2;
-    }
-  }
-  if (int RC = checkPlan(Opt))
-    return RC;
-  if (int RC = checkOutputFlags(Opt))
-    return RC;
-  return runAll({Name}, Opt, Name, commandLine(Argc, Argv));
+  return runAll(Opt, commandLine(Argc, Argv));
 }
 
 } // namespace exp

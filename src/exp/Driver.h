@@ -5,10 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared command-line front end of the experiment runner. bor-bench
-/// is a thin main() around benchMain(); each per-figure binary is a thin
-/// main() around experimentMain("<name>", ...). Both accept the same
-/// per-run flags:
+/// The command-line front end of the experiment runner: bor-bench is a
+/// thin main() around benchMain(). Its per-run flags include
 ///
 ///   --threads N   worker threads (default: hardware concurrency)
 ///   --json PATH   JSON-lines output path (default BENCH_<name>.json)
@@ -16,8 +14,8 @@
 ///   --no-table    suppress the human-readable table
 ///   --scale N     divide workload sizes by N (quick runs, smoke tests)
 ///
-/// and bor-bench additionally understands --list, --experiment NAME and
-/// --all.
+/// alongside --list, --experiment NAME and --all; docs/BENCHMARKING.md
+/// lists every flag.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +27,6 @@ namespace exp {
 
 /// Entry point of the bor-bench tool. Returns the process exit code.
 int benchMain(int Argc, char **Argv);
-
-/// Entry point of a single-experiment wrapper binary: runs \p Name with
-/// the per-run flags from the command line. Returns the process exit code.
-int experimentMain(const char *Name, int Argc, char **Argv);
 
 } // namespace exp
 } // namespace bor

@@ -10,8 +10,8 @@
 /// ParamSet per cell), a thread-safe run functor that measures one cell
 /// and returns a RunRecord, and optional serial setup/summary stages. The
 /// process-wide ExperimentRegistry maps names ("fig13", "ablation", ...)
-/// to spec factories so a single driver (bor-bench, or a thin per-figure
-/// wrapper binary) can list and run everything.
+/// to spec factories so a single driver, bor-bench, can list and run
+/// everything.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,19 +7,25 @@
 /// \file
 /// Registered experiments whose cells run the cycle-level timing model:
 /// the Figure 2 cost decomposition, the Figure 12 application overheads,
-/// the Figure 13/14 interval sweeps, and the Section 3.3 design ablation.
-/// Each cell builds its own program and Pipeline, so cells parallelize
-/// freely; shared baselines are measured once in the serial Setup stage.
+/// the Figure 13/14 interval sweeps, the Section 3.3 design ablation, the
+/// Section 1 kernel suite, the Section 5.2 misprediction split and the
+/// Section 5.3 baseline -- plus the Section 3.3 hardware cost model, the
+/// one experiment that runs no engine. Each cell builds its own program
+/// and Pipeline, so cells parallelize freely; shared baselines are
+/// measured once in the serial Setup stage.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/HwCostModel.h"
 #include "exp/Experiment.h"
 #include "exp/Experiments.h"
 #include "exp/Harness.h"
 #include "workloads/AppGen.h"
+#include "workloads/Kernels.h"
 
 #include <cstdio>
 #include <memory>
+#include <unordered_set>
 
 namespace bor {
 namespace exp {
@@ -287,22 +293,20 @@ ExperimentSpec makeFig02(const ExperimentOptions &O) {
 // Figure 12: application-analogue overheads.
 //===----------------------------------------------------------------------===//
 
-struct AppRun {
+struct RoiRun {
   uint64_t RoiCycles = 0;
   PipelineStats Stats;
 };
 
-AppRun appRoi(AppConfig C, SamplingFramework F, const ExperimentOptions &O) {
-  C.Instr.Framework = F;
-  C.Instr.Dup = DuplicationMode::FullDuplication;
-  C.Instr.Interval = 1024;
-  AppProgram P = buildApp(C);
+/// Times \p Prog's region of interest: sampled under \p O.Plan when \p
+/// O.Sample is set and the stream holds an interval, else a full run.
+RoiRun roiRun(const Program &Prog, const ExperimentOptions &O) {
   // One decoded image per cell, shared by the sampled and full-run paths.
-  DecodedProgram Dec(P.Prog);
+  DecodedProgram Dec(Prog);
   if (O.Sample) {
     SampledResult SR = runSampledMaybeLibrary(Dec, PipelineConfig(), O);
     if (SR.NumIntervals != 0 && SR.Markers.size() >= 2) {
-      AppRun R;
+      RoiRun R;
       R.RoiCycles =
           static_cast<uint64_t>(SR.estimatedCycles(SR.roiInsts()) + 0.5);
       R.Stats = SR.Detailed;
@@ -317,6 +321,25 @@ AppRun appRoi(AppConfig C, SamplingFramework F, const ExperimentOptions &O) {
   Pipe.setTelemetry(O.Telemetry);
   RunResult Result = Pipe.run(1ULL << 40);
   return {Result.roiCycles(), Result.Stats};
+}
+
+/// The Summarize stage of a grid of cbs_pct/brr_pct cells: one record
+/// averaging both columns, labelled "average" under param \p Key.
+std::function<std::vector<RunRecord>(const std::vector<RunRecord> &)>
+averageOverheads(std::string Key) {
+  return [Key](const std::vector<RunRecord> &Cells) {
+    double Cbs = 0, Brr = 0;
+    for (const RunRecord &R : Cells) {
+      Cbs += R.findMetric("cbs_pct")->D;
+      Brr += R.findMetric("brr_pct")->D;
+    }
+    double N = static_cast<double>(Cells.size());
+    RunRecord Avg;
+    Avg.param(Key, "average");
+    Avg.metric("cbs_pct", Cbs / N, 2);
+    Avg.metric("brr_pct", Brr / N, 2);
+    return std::vector<RunRecord>{Avg};
+  };
 }
 
 ExperimentSpec makeFig12(const ExperimentOptions &O) {
@@ -336,9 +359,16 @@ ExperimentSpec makeFig12(const ExperimentOptions &O) {
 
   S.Run = [Apps, O](const ParamSet &, size_t Index) {
     const AppConfig &App = (*Apps)[Index];
-    AppRun Base = appRoi(App, SamplingFramework::None, O);
-    AppRun Cbs = appRoi(App, SamplingFramework::CounterBased, O);
-    AppRun Brr = appRoi(App, SamplingFramework::BrrBased, O);
+    auto Roi = [&](SamplingFramework F) {
+      AppConfig C = App;
+      C.Instr.Framework = F;
+      C.Instr.Dup = DuplicationMode::FullDuplication;
+      C.Instr.Interval = 1024;
+      return roiRun(buildApp(C).Prog, O);
+    };
+    RoiRun Base = Roi(SamplingFramework::None);
+    RoiRun Cbs = Roi(SamplingFramework::CounterBased);
+    RoiRun Brr = Roi(SamplingFramework::BrrBased);
     RunRecord R;
     R.param("benchmark", App.Name);
     R.metric("baseline_cycles", Base.RoiCycles);
@@ -347,20 +377,51 @@ ExperimentSpec makeFig12(const ExperimentOptions &O) {
     R.metric("baseline_ipc", Base.Stats.ipc(), 2);
     return R;
   };
+  S.Summarize = averageOverheads("benchmark");
+  return S;
+}
 
-  S.Summarize = [](const std::vector<RunRecord> &Cells) {
-    double Cbs = 0, Brr = 0;
-    for (const RunRecord &R : Cells) {
-      Cbs += R.findMetric("cbs_pct")->D;
-      Brr += R.findMetric("brr_pct")->D;
-    }
-    double N = static_cast<double>(Cells.size());
-    RunRecord Avg;
-    Avg.param("benchmark", "average");
-    Avg.metric("cbs_pct", Cbs / N, 2);
-    Avg.metric("brr_pct", Brr / N, 2);
-    return std::vector<RunRecord>{Avg};
+//===----------------------------------------------------------------------===//
+// Section 1: framework overhead across the kernel suite.
+//===----------------------------------------------------------------------===//
+
+ExperimentSpec makeKernels(const ExperimentOptions &O) {
+  ExperimentSpec S;
+  S.Title = "Section 1 - framework overhead across the kernel suite\n"
+            "(No-Duplication, sampling period 1024, timing simulation at "
+            "fixed kernel sizes;\npercent over each kernel's "
+            "uninstrumented baseline)";
+  S.Notes = "shape: the counter framework's cost tracks site density and "
+            "each kernel's\nsensitivity to extra memory traffic; brr stays "
+            "near-negligible everywhere except\na site inside sort's "
+            "five-instruction loop, which is what makes 'instrument\n"
+            "everything, always' plausible.";
+
+  static constexpr KernelKind Kinds[] = {
+      KernelKind::Crc32, KernelKind::Sort, KernelKind::StrSearch,
+      KernelKind::MatMul, KernelKind::ListSum};
+  for (KernelKind Kind : Kinds)
+    S.Cells.push_back({{"kernel", kernelName(Kind)}});
+
+  S.Run = [O](const ParamSet &, size_t Index) {
+    KernelConfig C;
+    C.Kind = Kinds[Index];
+    C.Instr.Interval = 1024;
+    KernelProgram Base = buildKernel(C);
+    RoiRun BaseRun = roiRun(Base.Prog, O);
+    C.Instr.Framework = SamplingFramework::CounterBased;
+    RoiRun Cbs = roiRun(buildKernel(C).Prog, O);
+    C.Instr.Framework = SamplingFramework::BrrBased;
+    RoiRun Brr = roiRun(buildKernel(C).Prog, O);
+    RunRecord R;
+    R.param("kernel", kernelName(C.Kind));
+    R.metric("baseline_cycles", BaseRun.RoiCycles);
+    R.metric("site_visits", Base.DynamicSiteVisits);
+    R.metric("cbs_pct", overheadPct(Cbs.RoiCycles, BaseRun.RoiCycles), 2);
+    R.metric("brr_pct", overheadPct(Brr.RoiCycles, BaseRun.RoiCycles), 2);
+    return R;
   };
+  S.Summarize = averageOverheads("kernel");
   return S;
 }
 
@@ -489,6 +550,238 @@ ExperimentSpec makeAblation(const ExperimentOptions &O) {
   return S;
 }
 
+//===----------------------------------------------------------------------===//
+// Section 5.3: the microbenchmark's baseline characterization.
+//===----------------------------------------------------------------------===//
+
+double percentOf(uint64_t Part, uint64_t Whole) {
+  return 100.0 * static_cast<double>(Part) / static_cast<double>(Whole);
+}
+
+ExperimentSpec makeMicroBaseline(const ExperimentOptions &O) {
+  const size_t Chars = scaledChars(O);
+  ExperimentSpec S;
+  S.Title = "Section 5.3 - microbenchmark baseline characterization\n"
+            "(uninstrumented, full detailed pipeline)";
+  S.Notes = "paper: branch prediction accuracy 84.5%, L1I and L1D hit "
+            "rates >99.5%, fetching\nat full width 67% of cycles and "
+            "stalled handling mispredictions 29.5%.";
+  S.Cells.push_back({{"chars", std::to_string(Chars)}});
+
+  // Always the full pipeline, whatever O.Sample says: the predictor and
+  // cache statistics below cover every instruction only there.
+  S.Run = [Chars, O](const ParamSet &, size_t) {
+    MicrobenchConfig C;
+    C.Text.NumChars = Chars;
+    MicrobenchProgram MB = buildMicrobench(C);
+    Pipeline Pipe(MB.Prog, PipelineConfig());
+    Pipe.setTelemetry(O.Telemetry);
+    PipelineStats St = Pipe.run(1ULL << 40).Stats;
+    const PredictorStats &Pred = Pipe.predictor().stats();
+    RunRecord R;
+    R.param("chars", std::to_string(Chars));
+    R.metric("insts", St.Insts);
+    R.metric("cycles", St.Cycles);
+    R.metric("ipc", St.ipc(), 2);
+    R.metric("pred_accuracy_pct",
+             100.0 - percentOf(Pred.Mispredictions, Pred.Predictions), 1);
+    R.metric("l1i_hit_pct", 100.0 * Pipe.memHier().l1i().stats().hitRate(),
+             2);
+    R.metric("l1d_hit_pct", 100.0 * Pipe.memHier().l1d().stats().hitRate(),
+             2);
+    R.metric("full_width_fetch_pct",
+             percentOf(St.FullWidthFetchCycles, St.Cycles), 1);
+    R.metric("backend_flush_pct", percentOf(St.BackendFlushCycles, St.Cycles),
+             1);
+    return R;
+  };
+  return S;
+}
+
+//===----------------------------------------------------------------------===//
+// Section 5.2: framework-check vs program-branch mispredictions.
+//===----------------------------------------------------------------------===//
+
+struct MispredictSplit {
+  uint64_t Program = 0;
+  uint64_t Framework = 0;
+};
+
+/// Runs the microbenchmark under \p Instr on \p Machine through the full
+/// pipeline -- the per-instruction observer exists only there -- and
+/// splits every back-end misprediction by whether its PC is one of the
+/// framework's check branches.
+MispredictSplit measureSplit(const InstrumentationConfig &Instr,
+                             size_t Chars, const PipelineConfig &Machine,
+                             const ExperimentOptions &O) {
+  MicrobenchConfig C;
+  C.Text.NumChars = Chars;
+  C.Instr = Instr;
+  MicrobenchProgram MB = buildMicrobench(C);
+  std::unordered_set<uint64_t> Checks(MB.CheckBranchPcs.begin(),
+                                      MB.CheckBranchPcs.end());
+  Pipeline Pipe(MB.Prog, Machine);
+  Pipe.setTelemetry(O.Telemetry);
+  MispredictSplit Split;
+  Pipe.setObserver([&](const InstTimestamps &TS) {
+    if (!TS.Mispredicted)
+      return;
+    if (Checks.count(TS.Pc))
+      ++Split.Framework;
+    else
+      ++Split.Program;
+  });
+  Pipe.run(1ULL << 40);
+  return Split;
+}
+
+ExperimentSpec makeMispredictSplit(const ExperimentOptions &O) {
+  const size_t Chars = scaledChars(O);
+  ExperimentSpec S;
+  char Title[256];
+  std::snprintf(Title, sizeof(Title),
+                "Section 5.2 - where the extra branch mispredictions come "
+                "from\n(microbenchmark, No-Duplication, framework-only, %zu "
+                "chars, full detailed pipeline;\nmispredictions per 1000 "
+                "characters, delta against the same predictor's baseline)",
+                Chars);
+  S.Title = Title;
+  S.Notes = "reading: cbs mispredicts on its own check branches and, by "
+            "diluting the global\nhistory, on program branches; brr never "
+            "consults or trains the predictor, so it\nadds neither. The "
+            "weaker the history, the larger cbs's dilution delta.";
+
+  struct Predictor {
+    const char *Name;
+    PipelineConfig Machine;
+  };
+  auto Weaker = [](PredictorKind Kind, unsigned HistoryBits) {
+    PipelineConfig M;
+    M.Predictor.Kind = Kind;
+    M.Predictor.HistoryBits = HistoryBits;
+    return M;
+  };
+  // The default machine (a tournament predictor over 16 history bits)
+  // first, then weaker predictors.
+  auto Machines = std::make_shared<std::vector<Predictor>>(
+      std::vector<Predictor>{
+          {"tournament-16", PipelineConfig()},
+          {"gshare-16", Weaker(PredictorKind::GshareOnly, 16)},
+          {"gshare-10", Weaker(PredictorKind::GshareOnly, 10)},
+          {"bimodal", Weaker(PredictorKind::BimodalOnly, 16)}});
+
+  auto Baselines =
+      std::make_shared<std::vector<MispredictSplit>>(Machines->size());
+  S.Setup = [Machines, Baselines, Chars, O] {
+    for (size_t M = 0; M != Machines->size(); ++M)
+      (*Baselines)[M] = measureSplit(InstrumentationConfig(), Chars,
+                                     (*Machines)[M].Machine, O);
+  };
+
+  struct Def {
+    size_t Machine;
+    InstrumentationConfig Instr; ///< framework None: the machine's baseline
+    std::string Arm;
+  };
+  auto Defs = std::make_shared<std::vector<Def>>();
+  auto Add = [&](size_t M, SamplingFramework F, uint64_t Interval) {
+    std::string Arm = frameworkName(F);
+    if (F != SamplingFramework::None)
+      Arm += " @ " + std::to_string(Interval);
+    Defs->push_back({M,
+                     microConfig(F, DuplicationMode::NoDuplication, Interval,
+                                 false),
+                     Arm});
+    S.Cells.push_back({{"predictor", (*Machines)[M].Name}, {"arm", Arm}});
+  };
+  Add(0, SamplingFramework::None, 0);
+  const uint64_t Intervals[] = {4, 16, 1024};
+  for (uint64_t Interval : Intervals) {
+    Add(0, SamplingFramework::CounterBased, Interval);
+    Add(0, SamplingFramework::BrrBased, Interval);
+  }
+  for (size_t M = 1; M != Machines->size(); ++M) {
+    Add(M, SamplingFramework::None, 0);
+    Add(M, SamplingFramework::CounterBased, 16);
+  }
+
+  S.Run = [Machines, Baselines, Defs, Chars, O](const ParamSet &,
+                                                size_t Index) {
+    const Def &D = (*Defs)[Index];
+    const MispredictSplit &Base = (*Baselines)[D.Machine];
+    MispredictSplit Split =
+        D.Instr.Framework == SamplingFramework::None
+            ? Base
+            : measureSplit(D.Instr, Chars, (*Machines)[D.Machine].Machine, O);
+    double PerK = 1000.0 / static_cast<double>(Chars);
+    RunRecord R;
+    R.param("predictor", (*Machines)[D.Machine].Name);
+    R.param("arm", D.Arm);
+    R.metric("program_mis_per_1k", static_cast<double>(Split.Program) * PerK,
+             2);
+    R.metric("delta_per_1k",
+             (static_cast<double>(Split.Program) -
+              static_cast<double>(Base.Program)) *
+                 PerK,
+             2);
+    R.metric("framework_mis_per_1k",
+             static_cast<double>(Split.Framework) * PerK, 2);
+    return R;
+  };
+  return S;
+}
+
+//===----------------------------------------------------------------------===//
+// Section 3.3: hardware cost of the brr unit (an analytic model; no engine).
+//===----------------------------------------------------------------------===//
+
+ExperimentSpec makeHwCost(const ExperimentOptions &) {
+  ExperimentSpec S;
+  S.Title = "Section 3.3 - branch-on-random hardware cost estimates";
+  S.Notes = "paper: ~20 bits of state and <100 gates single-issue; <100 "
+            "bits and <400 gates\n4-wide with replicated units. The shared "
+            "LFSR is footnote 3's alternative; the\ndeterministic unit "
+            "adds Section 3.4's recovery bits and in-flight counter.";
+
+  struct Config {
+    const char *Name;
+    HwCostInputs In;
+  };
+  auto Configs = std::make_shared<std::vector<Config>>();
+  HwCostInputs Single; // 20-bit LFSR, 2 taps, 16 freqs, 1-wide
+  Configs->push_back({"1-wide", Single});
+  HwCostInputs Lfsr16 = Single;
+  Lfsr16.LfsrWidth = 16;
+  Configs->push_back({"1-wide, 16-bit LFSR", Lfsr16});
+  HwCostInputs Wide4 = Single;
+  Wide4.DecodeWidth = 4;
+  Configs->push_back({"4-wide replicated", Wide4});
+  HwCostInputs Shared = Wide4;
+  Shared.Replicated = false;
+  Configs->push_back({"4-wide shared LFSR", Shared});
+  HwCostInputs Det = Single;
+  Det.Deterministic = true;
+  Det.MaxInFlight = 16;
+  Configs->push_back({"1-wide deterministic, 16 in flight", Det});
+  HwCostInputs Wide8 = Single;
+  Wide8.DecodeWidth = 8;
+  Configs->push_back({"8-wide replicated", Wide8});
+  for (const Config &C : *Configs)
+    S.Cells.push_back({{"configuration", C.Name}});
+
+  S.Run = [Configs](const ParamSet &, size_t Index) {
+    const Config &C = (*Configs)[Index];
+    HwCostEstimate E = estimateBrrCost(C.In);
+    RunRecord R;
+    R.param("configuration", C.Name);
+    R.metric("state_bits", static_cast<uint64_t>(E.StateBits));
+    R.metric("macro_gates", static_cast<uint64_t>(E.MacroGates));
+    R.metric("two_input_gates", static_cast<uint64_t>(E.TwoInputEquivGates));
+    return R;
+  };
+  return S;
+}
+
 } // namespace
 
 void registerAllExperiments() {
@@ -522,6 +815,22 @@ void registerAllExperiments() {
         "Section 3.3 ablation: pipeline integration, counter placement, "
         "oracle prediction",
         makeAblation);
+  R.add("kernels",
+        "Section 1: framework overhead at period 1024 across the "
+        "five-kernel suite",
+        makeKernels);
+  R.add("micro_baseline",
+        "Section 5.3: the microbenchmark's baseline IPC, prediction "
+        "accuracy, cache hits and fetch use",
+        makeMicroBaseline);
+  R.add("mispredict_split",
+        "Section 5.2: framework-check vs program-branch mispredictions, "
+        "across predictors",
+        makeMispredictSplit);
+  R.add("hw_cost",
+        "Section 3.3: state bits and gate counts of the brr unit by "
+        "configuration",
+        makeHwCost);
 }
 
 } // namespace exp

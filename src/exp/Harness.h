@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The measurement drivers shared by the registered experiments and the
-/// remaining standalone bench binaries: the accuracy-experiment driver
+/// The measurement drivers shared by the registered experiments (and by
+/// perfbench, which times them): the accuracy-experiment driver
 /// (Figures 9/10 and the sensitivity study) and the timed-microbenchmark
 /// driver over the Section 5.3 workload (Figures 2/13/14 and the
-/// ablations). Formerly bench/BenchUtil.h; now part of the library so the
-/// experiment registry can use them.
+/// ablations). They live in the library so that every experiment, and
+/// the benchmark, runs the one copy.
 ///
 /// Every function here is thread-safe: all state is constructed per call
 /// from the arguments, which is what lets the ParallelRunner fan cells out

@@ -43,7 +43,7 @@ struct RunnerHooks {
   /// Progress reporting (cells done/total, elapsed, ETA) to stderr
   /// roughly every two seconds. The driver picks Text only when stderr is
   /// a TTY so piped output stays clean; Jsonl is the machine-readable
-  /// heartbeat (--progress jsonl / BOR_HEARTBEAT=json).
+  /// heartbeat (--progress jsonl).
   ProgressMode Progress = ProgressMode::Off;
 
   /// Per-cell wall-clock budget in seconds (--cell-timeout); 0 = none.

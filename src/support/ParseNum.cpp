@@ -1,4 +1,4 @@
-//===- support/ParseNum.cpp - Strict numeric command-line values ---------===//
+//===- support/ParseNum.cpp - Strict command-line flag values ------------===//
 //
 // Part of the branch-on-random reproduction library.
 //
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 bool bor::parseU64(const char *Text, uint64_t &Out) {
   // strtoull skips leading whitespace and negates a leading '-', so only
@@ -59,4 +60,30 @@ double bor::parseF64Flag(const char *Tool, const char *Flag,
     std::exit(2);
   }
   return Value;
+}
+
+const char *bor::flagValue(const char *Tool, const char *Flag, char **Argv,
+                           int Argc, int &I) {
+  const char *A = Argv[I];
+  size_t N = std::strlen(Flag);
+  if (std::strncmp(A, Flag, N) != 0)
+    return nullptr;
+  if (A[N] == '=')
+    return A + N + 1;
+  if (A[N] != '\0')
+    return nullptr;
+  if (I + 1 >= Argc) {
+    std::fprintf(stderr, "%s: %s needs a value\n", Tool, Flag);
+    std::exit(2);
+  }
+  return Argv[++I];
+}
+
+const char *bor::pathFlag(const char *Tool, const char *Flag,
+                          const char *Text) {
+  if (*Text == '\0') {
+    std::fprintf(stderr, "%s: %s needs a path\n", Tool, Flag);
+    std::exit(2);
+  }
+  return Text;
 }

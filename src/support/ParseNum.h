@@ -1,14 +1,15 @@
-//===- support/ParseNum.h - Strict numeric command-line values -----------===//
+//===- support/ParseNum.h - Strict command-line flag values --------------===//
 //
 // Part of the branch-on-random reproduction library.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parsers every tool uses for a numeric flag value. A value that is
-/// not exactly a number is a usage error naming the flag, never a silently
+/// The parsers the tools use for flag values. A value that is not
+/// exactly a number is a usage error naming the flag, never a silently
 /// misread budget: "1e6" is not 1, "lots" is not 0, "-1" is not 2^64-1
-/// and "nan" is not a threshold.
+/// and "nan" is not a threshold. Likewise an empty path is a usage error,
+/// never an output silently dropped or sent to a default file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +42,19 @@ bool parseF64(const char *Text, double &Out);
 /// Text), or else "<Tool>: <Flag> needs a finite number >= 0, got
 /// '<Text>'" on stderr and exit status 2.
 double parseF64Flag(const char *Tool, const char *Flag, const char *Text);
+
+/// The value of flag \p Flag when \p Argv[\p I] is that flag, given either
+/// as "<Flag>=value" or as "<Flag> value"; the detached form advances \p I
+/// past the value. Returns nullptr when \p Argv[\p I] is another flag. A
+/// detached value that is missing is "<Tool>: <Flag> needs a value" on
+/// stderr and exit status 2.
+const char *flagValue(const char *Tool, const char *Flag, char **Argv,
+                      int Argc, int &I);
+
+/// The value of path-valued flag \p Flag of tool \p Tool: \p Text, or else,
+/// when it is empty, "<Tool>: <Flag> needs a path" on stderr and exit
+/// status 2.
+const char *pathFlag(const char *Tool, const char *Flag, const char *Text);
 
 } // namespace bor
 

@@ -7,20 +7,16 @@
 #   3. Sampled runs write timeseries.json, byte-identical for --threads 1
 #      and 8, and the sampled manifests also compare clean against each
 #      other.
-#   4. --update-baselines regenerates the committed BENCH_fig13.json,
-#      BENCH_pgo_layout.json and the accuracy-path baselines
-#      (BENCH_fig09/fig10/sens_lfsr.json at scale 16, BENCH_fig12.json at
-#      scale 20) byte-identically, so the baselines stay reproducible from
-#      source and every Zipf draw, LFSR step and AppGen nextBelow behind
-#      them is pinned.
+#   4. --update-baselines regenerates every committed bench/BENCH_*.json
+#      byte-identically at --threads 2, so the baselines stay reproducible
+#      from source, do not depend on the thread count, and pin every Zipf
+#      draw, LFSR step and AppGen nextBelow behind them.
 #   5. --list-counters documents every counter a real run publishes.
 #   6. --progress jsonl emits machine-readable progress lines on stderr.
 #
 # Invoked by ctest with:
 #   -DBENCH=<bor-bench> -DREPORT=<bor-report>
-#   -DBASELINE=<committed bench/BENCH_fig13.json> -DWORKDIR=<scratch dir>
-# and optionally -DPGO_BASELINE, -DFIG09_BASELINE, -DFIG10_BASELINE,
-# -DSENS_LFSR_BASELINE and -DFIG12_BASELINE (the committed bench/ files).
+#   -DBASELINE_DIR=<the committed bench/ directory> -DWORKDIR=<scratch dir>
 
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -134,11 +130,9 @@ endif()
 
 # 4. The committed baselines are reproducible: --update-baselines into a
 # scratch dir regenerates each byte-identically, and a run dir compares
-# clean against the fig13 one. An empty path skips that baseline.
-function(check_baseline experiment scale committed)
-  if("${committed}" STREQUAL "")
-    return()
-  endif()
+# clean against the fig13 one.
+function(check_baseline experiment scale)
+  set(committed ${BASELINE_DIR}/BENCH_${experiment}.json)
   run_bench(ERR_UNUSED --experiment ${experiment} --scale ${scale} --no-table
             --threads 2 --update-baselines --baseline-dir ${WORKDIR}/bench)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -151,13 +145,19 @@ function(check_baseline experiment scale committed)
   endif()
 endfunction()
 
-check_baseline(fig13 100 "${BASELINE}")
-check_baseline(pgo_layout 10 "${PGO_BASELINE}")
-check_baseline(fig09 16 "${FIG09_BASELINE}")
-check_baseline(fig10 16 "${FIG10_BASELINE}")
-check_baseline(sens_lfsr 16 "${SENS_LFSR_BASELINE}")
-check_baseline(fig12 20 "${FIG12_BASELINE}")
-execute_process(COMMAND ${REPORT} ${BASELINE} ${WORKDIR}/runA
+check_baseline(fig13 100)
+check_baseline(pgo_layout 10)
+check_baseline(fig09 16)
+check_baseline(fig10 16)
+check_baseline(sens_lfsr 16)
+check_baseline(fig12 20)
+check_baseline(hw_cost 1)
+check_baseline(kernels 1)
+check_baseline(convergent 1)
+check_baseline(micro_baseline 1)
+check_baseline(mispredict_split 20)
+execute_process(COMMAND ${REPORT} ${BASELINE_DIR}/BENCH_fig13.json
+                        ${WORKDIR}/runA
                 RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR

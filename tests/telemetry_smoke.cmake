@@ -3,8 +3,8 @@
 #   1. --trace writes a well-formed Chrome trace-event JSON object with at
 #      least one experiment-cell span (validated with cmake's string(JSON)).
 #   2. --counters-out snapshots are byte-identical for --threads 1 and 8.
-#   3. The heartbeat stays off when stderr is not a TTY, and BOR_HEARTBEAT=1
-#      forces it on.
+#   3. The heartbeat stays off when stderr is not a TTY, also with the
+#      retired BOR_HEARTBEAT=1 set, and --progress text forces it on.
 #
 # Invoked by ctest with:
 #   -DBENCH=<bor-bench> -DWORKDIR=<scratch dir>
@@ -68,18 +68,32 @@ if(ERR8 MATCHES "\\[bor-bench\\]")
   message(FATAL_ERROR "heartbeat printed to a non-TTY stderr:\n${ERR8}")
 endif()
 
-# 3b. BOR_HEARTBEAT=1 forces it on regardless.
+# 3b. The environment no longer selects the heartbeat: BOR_HEARTBEAT=1
+# alone leaves it off.
 execute_process(COMMAND ${CMAKE_COMMAND} -E env BOR_HEARTBEAT=1
                         ${BENCH} --experiment fig13 --scale 100
-                        --threads 2 --no-table
+                        --threads 2 --no-table --no-json
                 RESULT_VARIABLE RC
                 OUTPUT_VARIABLE OUT
                 ERROR_VARIABLE ERR)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "bor-bench with BOR_HEARTBEAT=1 failed (${RC}):\n${ERR}")
 endif()
+if(ERR MATCHES "\\[bor-bench\\]")
+  message(FATAL_ERROR "BOR_HEARTBEAT=1 turned the heartbeat on:\n${ERR}")
+endif()
+
+# 3c. --progress text forces it on regardless of the TTY.
+execute_process(COMMAND ${BENCH} --experiment fig13 --scale 100
+                        --threads 2 --no-table --no-json --progress text
+                RESULT_VARIABLE RC
+                OUTPUT_VARIABLE OUT
+                ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "bor-bench --progress text failed (${RC}):\n${ERR}")
+endif()
 if(NOT ERR MATCHES "\\[bor-bench\\] fig13: .*cells")
-  message(FATAL_ERROR "BOR_HEARTBEAT=1 produced no heartbeat line:\n${ERR}")
+  message(FATAL_ERROR "--progress text produced no heartbeat line:\n${ERR}")
 endif()
 
 message(STATUS "telemetry smoke test passed")

@@ -1,6 +1,7 @@
 //===- tests/test_brrunit.cpp - Decode-stage brr unit tests ---------------===//
 
 #include "core/BrrUnit.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -179,6 +180,35 @@ TEST(DeterministicBrrUnit, ReplayAfterSquashIsIdentical) {
   U.squashYoungest(10);
   for (int I = 0; I != 10; ++I)
     EXPECT_EQ(U.evaluate(FreqCode(2)), First[I]);
+}
+
+TEST(DeterministicBrrUnit, RandomSquashBurstsReplayTheUnspeculatedStream) {
+  // Section 3.4's shift-back recovery under a random misprediction
+  // pattern: commit a few real evaluations, speculate down a wrong path of
+  // random frequency codes, squash it, and repeat. The committed outcomes
+  // must be exactly those of a unit that never speculates.
+  constexpr unsigned NumEvaluations = 4000;
+  BrrUnitConfig C;
+  BrrUnit Reference(C);
+  DeterministicBrrUnit U(C, 32);
+  Xoshiro256 Rng(0x5eed);
+  unsigned Evaluated = 0;
+  uint64_t Squashed = 0;
+  while (Evaluated < NumEvaluations) {
+    uint64_t Commit = 1 + Rng.nextBelow(4);
+    for (uint64_t I = 0; I != Commit && Evaluated < NumEvaluations;
+         ++I, ++Evaluated)
+      ASSERT_EQ(U.evaluate(FreqCode(2)), Reference.evaluate(FreqCode(2)))
+          << "evaluation " << Evaluated;
+    U.retireOldest(U.inFlight());
+    uint64_t Wrong = Rng.nextBelow(20);
+    for (uint64_t I = 0; I != Wrong; ++I)
+      U.evaluate(FreqCode(static_cast<unsigned>(Rng.nextBelow(16))));
+    U.squashYoungest(static_cast<unsigned>(Wrong));
+    Squashed += Wrong;
+  }
+  EXPECT_GT(Squashed, NumEvaluations);
+  EXPECT_EQ(U.lfsr().state(), Reference.lfsr().state());
 }
 
 TEST(DeterministicBrrUnit, PartialSquashKeepsOlderEvaluations) {

@@ -85,15 +85,6 @@ TEST(HwCostModel, WiderLfsrCostsOnlyState) {
   EXPECT_EQ(E32.MacroGates, E16.MacroGates);
 }
 
-TEST(HwCostModel, DescribeMentionsConfiguration) {
-  HwCostInputs In;
-  In.DecodeWidth = 4;
-  std::string S = describeBrrCost(In);
-  EXPECT_NE(S.find("4-wide"), std::string::npos);
-  EXPECT_NE(S.find("replicated"), std::string::npos);
-  EXPECT_NE(S.find("state=80 bits"), std::string::npos);
-}
-
 TEST(HwCostModelDeath, DeterministicWithoutBufferAsserts) {
   HwCostInputs In;
   In.Deterministic = true;

@@ -4,15 +4,21 @@
 // transform -> timing simulation) at reduced scale and check the *shape* of
 // the paper's headline results: branch-on-random's framework overhead is a
 // small fraction of counter-based sampling's at moderate-to-low sampling
-// rates, and Full-Duplication helps both.
+// rates, and Full-Duplication helps both. They also check that the
+// trace-level sampling behind Figures 9/10 is exact against the ISA.
 //
 //===----------------------------------------------------------------------===//
 
+#include "profile/SamplingPolicy.h"
+#include "sim/Interpreter.h"
 #include "uarch/Pipeline.h"
 #include "workloads/AppGen.h"
 #include "workloads/Microbench.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 using namespace bor;
 
@@ -151,3 +157,74 @@ TEST(Integration, AppOverheadOrderingMatchesFigure12) {
   EXPECT_GT(CbsOver, 0.5);
   EXPECT_LT(BrrOver, CbsOver / 2);
 }
+
+namespace {
+
+/// A framework (counter-based or brr) and its sampling interval.
+using IsaCase = std::tuple<SamplingFramework, uint64_t>;
+
+class IsaValidation : public testing::TestWithParam<IsaCase> {};
+
+} // namespace
+
+// Figures 9/10 sample at trace level: the policies consume the stream of
+// site visits directly, as the paper's accuracy runs used SIGILL emulation
+// instead of timing simulation (Section 4.1). That shortcut is exact: the
+// ISA run of the instrumented microbenchmark and the trace-level policy
+// over the same text's site visits collect identical per-site counts. The
+// counter schedules are the same, and BrrPolicy wraps the very BrrUnit the
+// ISA decider uses, seeded identically.
+TEST_P(IsaValidation, TraceLevelSamplingMatchesIsaSimulation) {
+  constexpr size_t NumChars = 200000;
+  constexpr unsigned NumSites = 5;
+  const auto [F, Interval] = GetParam();
+  const bool Counter = F == SamplingFramework::CounterBased;
+
+  MicrobenchConfig C;
+  C.Text.NumChars = NumChars;
+  C.Instr.Framework = F;
+  C.Instr.Interval = Interval;
+  MicrobenchProgram MB = buildMicrobench(C);
+  BrrUnitConfig Cfg; // the same default unit and seed on both sides
+  NeverTakenDecider Never;
+  BrrUnitDecider Brr(Cfg);
+  Machine M;
+  Interpreter I(MB.Prog, M,
+                Counter ? static_cast<BrrDecider &>(Never) : Brr);
+  I.run(1ULL << 34);
+  std::vector<uint64_t> Isa;
+  for (unsigned Site = 0; Site != NumSites; ++Site)
+    Isa.push_back(M.memory().readU64(MB.ProfileBase + 8 * Site));
+
+  // Each character visits the entry edge, its class edge (upper, lower,
+  // other) and the rejoin edge, in that order.
+  SwCounterPolicy Sw(Interval);
+  BrrPolicy Rand(Interval, Cfg);
+  SamplingPolicy &Policy =
+      Counter ? static_cast<SamplingPolicy &>(Sw) : Rand;
+  std::vector<uint64_t> Trace(NumSites, 0);
+  for (uint8_t Ch : generateText(C.Text)) {
+    unsigned Class = Ch >= 'A' && Ch <= 'Z'   ? 1
+                     : Ch >= 'a' && Ch <= 'z' ? 2
+                                              : 3;
+    for (unsigned Site : {0u, Class, 4u})
+      if (Policy.sample())
+        ++Trace[Site];
+  }
+  EXPECT_GT(Trace[0], 0u);
+  EXPECT_EQ(Isa, Trace);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Section41, IsaValidation,
+    testing::Combine(testing::Values(SamplingFramework::CounterBased,
+                                     SamplingFramework::BrrBased),
+                     testing::Values<uint64_t>(16, 256)),
+    [](const testing::TestParamInfo<IsaCase> &Info) {
+      const char *Name =
+          std::get<0>(Info.param) == SamplingFramework::CounterBased
+              ? "counter"
+              : "brr";
+      return std::string(Name) + "_" +
+             std::to_string(std::get<1>(Info.param));
+    });

@@ -148,6 +148,27 @@ TEST(Microbench, BrrSamplingCollectsApproxOneInInterval) {
               0.25 * 3 * N / 64.0);
 }
 
+TEST(Microbench, BrrSampleCountsDependOnlyOnSeed) {
+  // Section 3.4's software determinism: a brr-sampled run's per-site
+  // counts are a function of the LFSR seed alone, so one seed reproduces
+  // them exactly and another seed gives a different profile.
+  auto Counts = [](uint64_t Seed) {
+    BrrUnitConfig Cfg;
+    Cfg.Seed = Seed;
+    BrrUnitDecider D(Cfg);
+    MicrobenchRun R(config(SamplingFramework::BrrBased,
+                           DuplicationMode::NoDuplication, 64),
+                    100000, D);
+    std::vector<uint64_t> PerSite;
+    for (unsigned Site = 0; Site != R.MB.NumStaticSites; ++Site)
+      PerSite.push_back(R.edgeCount(Site));
+    return PerSite;
+  };
+  std::vector<uint64_t> First = Counts(0xace1);
+  EXPECT_EQ(Counts(0xace1), First);
+  EXPECT_NE(Counts(0xbeef), First);
+}
+
 TEST(Microbench, SampledEdgeProfileMatchesFullShape) {
   // The sampled profile's per-class fractions should approximate the true
   // class mix (this is the accuracy claim at microbenchmark scale).

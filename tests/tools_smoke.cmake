@@ -198,7 +198,9 @@ endif()
 
 # bor-bench: --list must show every registered experiment.
 must_run(LIST_OUT ${BENCH} --list)
-foreach(EXPERIMENT fig02 fig09 fig10 fig12 fig13 fig14 ablation sens_lfsr)
+foreach(EXPERIMENT ablation convergent fig02 fig09 fig10 fig12 fig13 fig14
+                   hw_cost kernels micro_baseline mispredict_split pgo_layout
+                   sample_error sens_lfsr)
   if(NOT LIST_OUT MATCHES "${EXPERIMENT}")
     message(FATAL_ERROR "bor-bench --list missing ${EXPERIMENT}: ${LIST_OUT}")
   endif()
@@ -307,6 +309,13 @@ foreach(bad nan inf -1 " 5")
   must_reject(--cell-timeout ${BENCH} --experiment fig13 --no-table
               --no-json --cell-timeout ${bad})
 endforeach()
+# An empty path is a usage error too, never an output silently dropped
+# or sent to the default file.
+foreach(flag --json --trace --flamegraph --counters-out --run-dir --ckpt-dir
+             --baseline-dir)
+  must_reject(${flag} ${BENCH} --experiment hw_cost --no-table ${flag}=)
+endforeach()
+must_reject(--out ${REPORT} ${WORKDIR} ${WORKDIR} --out=)
 must_reject(--threshold-pct ${REPORT} ${WORKDIR} ${WORKDIR}
             --threshold-pct nan)
 must_reject(--threshold ${REPORT} ${WORKDIR} ${WORKDIR}

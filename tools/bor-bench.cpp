@@ -1,7 +1,8 @@
 //===- tools/bor-bench.cpp - Unified experiment-runner CLI ----------------===//
 //
-// Drives every experiment registered with the experiment registry
-// (Figures 2/9/10/12/13/14, the design ablation, the sensitivity sweep):
+// Drives every experiment registered with the experiment registry --
+// Figures 2/9/10/12/13/14, the design ablation, the sensitivity sweep and
+// the paper's results outside its figures; --list names them all:
 //
 //   bor-bench --list
 //   bor-bench --experiment fig13 --threads 8 --json out.json

@@ -23,7 +23,6 @@
 #include "support/Path.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -49,24 +48,6 @@ int usage() {
   return 2;
 }
 
-/// Accepts "--flag value" and "--flag=value"; advances \p I for the
-/// two-token form. Returns nullptr when \p Arg is not \p Flag.
-const char *flagValue(const char *Flag, char **Argv, int Argc, int &I) {
-  const char *A = Argv[I];
-  size_t N = std::strlen(Flag);
-  if (std::strncmp(A, Flag, N) != 0)
-    return nullptr;
-  if (A[N] == '=')
-    return A + N + 1;
-  if (A[N] != '\0')
-    return nullptr;
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "bor-report: %s needs a value\n", Flag);
-    std::exit(2);
-  }
-  return Argv[++I];
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -76,9 +57,12 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
-    if (const char *V = flagValue("--threshold-pct", Argv, Argc, I)) {
+    auto Value = [&](const char *Flag) {
+      return flagValue("bor-report", Flag, Argv, Argc, I);
+    };
+    if (const char *V = Value("--threshold-pct")) {
       Opt.ThresholdPct = parseF64Flag("bor-report", "--threshold-pct", V);
-    } else if (const char *V = flagValue("--threshold", Argv, Argc, I)) {
+    } else if (const char *V = Value("--threshold")) {
       const char *Eq = std::strchr(V, '=');
       if (!Eq || Eq == V) {
         std::fprintf(stderr,
@@ -88,9 +72,9 @@ int main(int Argc, char **Argv) {
       Opt.MetricThresholds.emplace_back(
           std::string(V, Eq - V),
           parseF64Flag("bor-report", "--threshold", Eq + 1));
-    } else if (const char *V = flagValue("--out", Argv, Argc, I)) {
-      OutPath = V;
-    } else if (const char *V = flagValue("--max-rows", Argv, Argc, I)) {
+    } else if (const char *V = Value("--out")) {
+      OutPath = pathFlag("bor-report", "--out", V);
+    } else if (const char *V = Value("--max-rows")) {
       Opt.MaxRows = parseU64Flag("bor-report", "--max-rows", V);
     } else if (A[0] == '-') {
       std::fprintf(stderr, "bor-report: unknown flag '%s'\n", A);
