@@ -156,6 +156,9 @@ check_baseline(kernels 1)
 check_baseline(convergent 1)
 check_baseline(micro_baseline 1)
 check_baseline(mispredict_split 20)
+check_baseline(ablation 20)
+check_baseline(fig02 20)
+check_baseline(fig14 20)
 execute_process(COMMAND ${REPORT} ${BASELINE_DIR}/BENCH_fig13.json
                         ${WORKDIR}/runA
                 RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)

@@ -6,12 +6,17 @@
 // The configurations stretch the issue window far past its initial ring
 // (20000-cycle memory, a 512-entry ROB, caches small enough to miss) and
 // make its periodic trim change placements, so a bookkeeping change that
-// is not exact shows up as a digest mismatch.
+// is not exact shows up as a digest mismatch. A second table pins each
+// machine variant the ablations select (brr as a back-end branch, brr
+// through the ROB, trap emulation, a perfect front end, fetch past taken
+// branches) on the default memory system, over the same programs plus a
+// store-to-load forwarding workload that holds thousands of words.
 //
 //===----------------------------------------------------------------------===//
 
 #include "RandomProgramGen.h"
 
+#include "isa/ProgramBuilder.h"
 #include "telemetry/CounterInfo.h"
 #include "telemetry/Counters.h"
 #include "uarch/Pipeline.h"
@@ -84,6 +89,51 @@ std::vector<Program> digestPrograms() {
   return Progs;
 }
 
+/// Words the store-table workload stores to (a power of two, so the
+/// stride-7 walk below visits each exactly once).
+constexpr uint32_t StoreTableWords = 8192;
+
+/// Stores to StoreTableWords distinct words, each reloaded at once, then
+/// walks the same words again in a stride-7 order, storing and reloading
+/// each. Every stored value is computed from the previous reload, so each
+/// reload waits on forwarding from the store just before it, on the
+/// critical path; the second walk updates entries stored thousands of
+/// instructions earlier.
+Program storeTableProgram() {
+  ProgramBuilder B;
+  const uint64_t Buf = B.allocData(StoreTableWords * 8, 8);
+  B.emitLoadConst(1, Buf); // r1: first-pass cursor
+  B.emitLoadConst(9, Buf); // r9: base for the second pass
+  B.emit(Inst::li(6, 1));  // r6: last reloaded value
+  B.emit(Inst::li(8, 3));  // r8: multiplier
+  B.emitLoadConst(2, StoreTableWords);
+
+  ProgramBuilder::LabelId Fill = B.label();
+  B.bind(Fill);
+  B.emit(Inst::alu(Opcode::Mul, 3, 6, 8));
+  B.emit(Inst::st(3, 1, 0));
+  B.emit(Inst::ld(6, 1, 0));
+  B.emit(Inst::addi(1, 1, 8));
+  B.emit(Inst::addi(2, 2, -1));
+  B.emitBranch(Opcode::Bne, 2, RegZero, Fill);
+
+  B.emit(Inst::li(4, 0)); // r4: byte offset of the next word
+  B.emitLoadConst(2, StoreTableWords);
+  ProgramBuilder::LabelId Walk = B.label();
+  B.bind(Walk);
+  B.emit(Inst::add(5, 9, 4));
+  B.emit(Inst::alu(Opcode::Mul, 3, 6, 8));
+  B.emit(Inst::st(3, 5, 0));
+  B.emit(Inst::ld(6, 5, 0));
+  B.emit(Inst::addi(4, 4, 7 * 8));
+  B.emit(Inst::alui(Opcode::Andi, 4, 4,
+                    static_cast<int32_t>(StoreTableWords * 8 - 8)));
+  B.emit(Inst::addi(2, 2, -1));
+  B.emitBranch(Opcode::Bne, 2, RegZero, Walk);
+  B.emit(Inst::halt());
+  return B.finish();
+}
+
 uint64_t digestFor(const std::vector<Program> &Progs,
                    const PipelineConfig &Cfg) {
   Fnv1a D;
@@ -111,6 +161,31 @@ const DigestCase Cases[] = {
     {20000, 80, true, 4212134272688259500ULL},
     {20000, 512, false, 15318126309173313776ULL},
     {20000, 512, true, 11163937650129507214ULL},
+};
+
+/// One machine variant on the default memory system.
+struct VariantCase {
+  const char *Name;
+  void (*Apply)(PipelineConfig &);
+  uint64_t Digest;
+};
+
+const VariantCase Variants[] = {
+    {"default", [](PipelineConfig &) {}, 1112759108632894347ULL},
+    {"BrrAsBackendBranch",
+     [](PipelineConfig &C) { C.BrrAsBackendBranch = true; },
+     4909930682024581007ULL},
+    {"BrrCommitsAtDecode=false",
+     [](PipelineConfig &C) { C.BrrCommitsAtDecode = false; },
+     6061066853765670777ULL},
+    {"BrrTrapCycles=300", [](PipelineConfig &C) { C.BrrTrapCycles = 300; },
+     10576481907402732093ULL},
+    {"PerfectBranchPrediction",
+     [](PipelineConfig &C) { C.PerfectBranchPrediction = true; },
+     16897963470362713383ULL},
+    {"FetchStopsAtTakenBranch=false",
+     [](PipelineConfig &C) { C.FetchStopsAtTakenBranch = false; },
+     4290294949601800748ULL},
 };
 
 } // namespace
@@ -149,4 +224,27 @@ TEST(PipelineDigest, ExtremeConfigsGrowTheIssueWindow) {
     EXPECT_FALSE(telemetry::describeCounter(Name).empty()) << Name;
   for (const auto &H : Snapshot.Histograms)
     EXPECT_FALSE(telemetry::describeCounter(H.Name).empty()) << H.Name;
+}
+
+TEST(PipelineDigest, MachineVariantsMatchRecordedDigests) {
+  std::vector<Program> Progs = digestPrograms();
+  Progs.push_back(storeTableProgram());
+  for (const VariantCase &V : Variants) {
+    PipelineConfig Cfg;
+    V.Apply(Cfg);
+    EXPECT_EQ(digestFor(Progs, Cfg), V.Digest) << V.Name;
+  }
+}
+
+// The store-table workload is only a check on the forwarding table if its
+// reloads actually wait on stores.
+TEST(PipelineDigest, StoreTableWorkloadWaitsOnForwarding) {
+  Program P = storeTableProgram();
+  DecodedProgram DP(P);
+  PipelineConfig Slow, Fast;
+  Fast.StoreForwardDelay = 0;
+  Pipeline SlowPipe(DP, Slow), FastPipe(DP, Fast);
+  uint64_t SlowCycles = SlowPipe.run(50'000'000).Stats.Cycles;
+  uint64_t FastCycles = FastPipe.run(50'000'000).Stats.Cycles;
+  EXPECT_GT(SlowCycles, FastCycles + StoreTableWords);
 }
