@@ -181,8 +181,7 @@ void Module::computeFunctions() {
 namespace {
 
 /// True if \p I ends a static basic block in the source linearization:
-/// any control instruction, plus marker (mirroring sim/Decode's
-/// DIF_EndsBlock).
+/// any control instruction, plus marker.
 bool endsBlock(const Inst &I) {
   return I.isControl() || I.Op == Opcode::Marker;
 }

@@ -132,7 +132,7 @@ ProfileMap opt::collectOracleProfile(const Program &P, BrrDecider &D,
     // (every head is a leader, so control can reach it no other way).
     if (Idx == M.block(Blk).OrigIndex)
       Prof.add(Blk, 1);
-    if (R.I.isCondBranch() && R.Taken)
+    if (R.D->Kind == InstKind::CondBranch && R.Taken)
       Prof.add(Blk, 0, 1);
   }
   Prof.setComplete(true);

@@ -185,14 +185,11 @@ SampledResult runSampledLoop(const DecodedProgram &DP, Machine &M,
                                 {telemetry::TraceArg::num("period", Period)});
       WarmTimer.start();
       FnGlobalOffset = Global - Fn.stats().Insts;
-      for (uint64_t I = 0; I != Plan.WarmupInsts && !M.halted() &&
-                           Result.TotalInsts < Budget;
-           ++I) {
-        Warmer.observe(Fn.step());
-        ++Global;
-        ++Result.TotalInsts;
-        ++Result.WarmedInsts;
-      }
+      uint64_t Warmed = Warmer.warm(
+          Fn, std::min(Plan.WarmupInsts, Budget - Result.TotalInsts));
+      Global += Warmed;
+      Result.TotalInsts += Warmed;
+      Result.WarmedInsts += Warmed;
       WarmTimer.stop();
     }
 

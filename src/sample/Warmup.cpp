@@ -14,9 +14,9 @@ void FunctionalWarmer::observe(const ExecRecord &R) {
     Uarch.MemHier.fetchAccess(R.Pc);
     LastFetchLine = Line;
   }
-  if (R.I.isLoad())
+  if (R.D->Kind == InstKind::Load)
     Uarch.MemHier.dataAccess(R.MemAddr, /*IsWrite=*/false);
-  else if (R.I.isStore())
+  else if (R.D->Kind == InstKind::Store)
     Uarch.MemHier.dataAccess(R.MemAddr, /*IsWrite=*/true);
 
   Policy.observeWarming(R);

@@ -36,15 +36,15 @@ public:
   FunctionalWarmer(MicroarchState &Uarch, const PipelineConfig &Config)
       : Uarch(Uarch), Config(Config), Policy(Uarch, Config) {}
 
-  /// Feeds one committed instruction through the structure-update rules.
-  void observe(const ExecRecord &R);
-
   /// Steps \p Oracle for up to \p Insts instructions (or until halt),
   /// warming structures from each committed record. Returns the number of
   /// instructions actually consumed.
   uint64_t warm(Interpreter &Oracle, uint64_t Insts);
 
 private:
+  /// Feeds one committed instruction through the structure-update rules.
+  void observe(const ExecRecord &R);
+
   MicroarchState &Uarch;
   const PipelineConfig &Config;
   BranchUpdatePolicy Policy;

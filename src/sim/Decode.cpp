@@ -2,26 +2,35 @@
 
 #include "sim/Decode.h"
 
-#include "cfg/Cfg.h"
 #include "telemetry/Counters.h"
 
 using namespace bor;
 
 namespace {
 
-uint8_t flagsFor(const Inst &I) {
-  uint8_t F = DIF_None;
+InstKind kindFor(const Inst &I) {
   if (I.isLoad())
-    F |= DIF_Load;
+    return InstKind::Load;
   if (I.isStore())
-    F |= DIF_Store;
-  if (I.isControl())
-    F |= DIF_Control;
-  if (I.isControl() || I.Op == Opcode::Marker)
-    F |= DIF_EndsBlock;
-  if (I.Op == Opcode::Jalr && I.Rd == RegZero && I.Rs1 == RegLr)
-    F |= DIF_Return;
-  return F;
+    return InstKind::Store;
+  if (I.isCondBranch())
+    return InstKind::CondBranch;
+  if (I.isBrr())
+    return InstKind::Brr;
+  if (I.isDirectJump())
+    return InstKind::DirectJump;
+  if (I.isIndirect())
+    return InstKind::Indirect;
+  switch (I.Op) {
+  case Opcode::Halt:
+    return InstKind::Halt;
+  case Opcode::Marker:
+    return InstKind::Marker;
+  case Opcode::Mul:
+    return InstKind::Mul;
+  default:
+    return InstKind::Other;
+  }
 }
 
 int64_t immFor(const Inst &I) {
@@ -46,7 +55,14 @@ DecodedProgram::DecodedProgram(const Program &P) : Prog(P) {
     D.Rs1 = I.Rs1;
     D.Rs2 = I.Rs2;
     D.Freq = I.Freq;
-    D.Flags = flagsFor(I);
+    D.Kind = kindFor(I);
+    D.Return = I.Op == Opcode::Jalr && I.Rd == RegZero && I.Rs1 == RegLr;
+    uint8_t Srcs[2];
+    unsigned NumSrcs = I.sourceRegs(Srcs);
+    for (unsigned S = 0; S != NumSrcs; ++S)
+      D.Src[S] = Srcs[S];
+    if (I.writesReg())
+      D.Dst = I.Rd;
     D.Imm = immFor(I);
     // PC-relative control: target = PC + 4*Imm with 64-bit wraparound,
     // exactly as the step interpreter computed it.
@@ -56,23 +72,10 @@ DecodedProgram::DecodedProgram(const Program &P) : Prog(P) {
     Insts.push_back(D);
   }
 
-  // Block structure comes from the shared CFG IR rather than a private
-  // re-derivation: run lengths are distances to the end of the enclosing
-  // cfg::Module block (CFG blocks also break at branch targets).
-  cfg::Module M = cfg::buildModule(P);
-  NumBlocks = M.numBlocks();
-  for (size_t Index = 0; Index != Insts.size(); ++Index) {
-    const cfg::BasicBlock &B = M.block(M.blockForIndex(Index));
-    size_t Run = B.OrigIndex + B.Insts.size() - Index;
-    Insts[Index].RunLen = static_cast<uint16_t>(Run > 0xffff ? 0xffff : Run);
-  }
-
   if (telemetry::CounterRegistry::enabled()) {
     static const telemetry::Counter Programs("interp.decode.programs");
     static const telemetry::Counter DecInsts("interp.decode.insts");
-    static const telemetry::Counter Blocks("interp.decode.blocks");
     Programs.add();
     DecInsts.add(Insts.size());
-    Blocks.add(NumBlocks);
   }
 }

@@ -75,9 +75,8 @@ ExecRecord Interpreter::step() {
 
   ExecRecord R;
   R.Pc = Mach.pc();
-  size_t Index = Prog.indexForPc(R.Pc);
-  const DecodedInst &D = Dec.at(Index);
-  R.I = Prog.at(Index);
+  const DecodedInst &D = Dec.at(Prog.indexForPc(R.Pc));
+  R.D = &D;
   R.NextPc = R.Pc + 4;
 
   auto Reg = [this](unsigned Idx) { return Mach.readReg(Idx); };

@@ -37,13 +37,16 @@ namespace bor {
 /// Everything a timing model needs to know about one executed instruction.
 struct ExecRecord {
   uint64_t Pc = 0;
-  Inst I;
+  /// The executed instruction in the shared decoded image (never null in
+  /// a record step() returns): its kind and operand slots are what timing
+  /// models read.
+  const DecodedInst *D = nullptr;
   uint64_t NextPc = 0;
+  /// For loads/stores: the effective address.
+  uint64_t MemAddr = 0;
   /// For control instructions: did it redirect (conditional taken, brr
   /// taken; always true for jumps)?
   bool Taken = false;
-  /// For loads/stores: the effective address.
-  uint64_t MemAddr = 0;
 };
 
 /// Aggregate execution statistics.

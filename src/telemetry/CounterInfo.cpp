@@ -74,7 +74,6 @@ const CounterInfo Table[] = {
     {"interp.brr.taken", "functional brr executions that branched"},
     {"interp.cond_branches", "conditional branches executed functionally"},
     {"interp.cond_taken", "functional conditional branches taken"},
-    {"interp.decode.blocks", "basic blocks formed by the pre-decoder"},
     {"interp.decode.insts", "static instructions pre-decoded"},
     {"interp.decode.programs", "programs pre-decoded (DecodedProgram built)"},
     {"interp.insts", "instructions retired by the functional interpreter"},

@@ -8,10 +8,21 @@ BranchOutcome BranchUpdatePolicy::observeTimed(const ExecRecord &R) {
   assert(!Config.PerfectBranchPrediction &&
          "oracle front end never consults the update policy");
 
-  bool TreatAsCondBranch =
-      R.I.isCondBranch() || (R.I.isBrr() && Config.BrrAsBackendBranch);
-
-  if (TreatAsCondBranch) {
+  const DecodedInst &D = *R.D;
+  switch (D.Kind) {
+  case InstKind::Brr:
+    if (!Config.BrrAsBackendBranch) {
+      // The real design: always predicted not-taken, invisible to every
+      // structure, resolved in decode (Section 3.3). Under trap emulation
+      // the redirect is scheduled by the pipeline once the decode cycle is
+      // known, so a taken brr classifies as a decode redirect only when
+      // the hardware instruction exists.
+      return R.Taken && Config.BrrTrapCycles == 0
+                 ? BranchOutcome::DecodeRedirect
+                 : BranchOutcome::None;
+    }
+    [[fallthrough]]; // the ablation: brr predicted like a cond branch
+  case InstKind::CondBranch: {
     BranchPrediction Pred = Uarch.Predictor.predict(R.Pc);
     bool BtbHit = Uarch.TargetBuffer.lookup(R.Pc).has_value();
     bool Effective = Pred.Taken && BtbHit;
@@ -28,56 +39,48 @@ BranchOutcome BranchUpdatePolicy::observeTimed(const ExecRecord &R) {
     return O;
   }
 
-  if (R.I.isBrr()) {
-    // The real design: always predicted not-taken, invisible to every
-    // structure, resolved in decode (Section 3.3). Under trap emulation
-    // the redirect is scheduled by the pipeline once the decode cycle is
-    // known, so a taken brr classifies as a decode redirect only when the
-    // hardware instruction exists.
-    return R.Taken && Config.BrrTrapCycles == 0
-               ? BranchOutcome::DecodeRedirect
-               : BranchOutcome::None;
-  }
-
-  if (R.I.isDirectJump()) {
-    if (R.I.Op == Opcode::Jal && R.I.Rd != RegZero)
+  case InstKind::DirectJump:
+    if (D.Op == Opcode::Jal && D.Rd != RegZero)
       Uarch.Ras.push(R.Pc + 4);
     if (Uarch.TargetBuffer.lookup(R.Pc))
       return BranchOutcome::PredictedTaken;
     Uarch.TargetBuffer.insert(R.Pc, R.NextPc);
     return BranchOutcome::DecodeRedirect;
-  }
 
-  if (R.I.isIndirect()) {
-    bool IsReturn = R.I.Rd == RegZero && R.I.Rs1 == RegLr;
+  case InstKind::Indirect: {
     uint64_t PredTarget;
-    if (IsReturn) {
+    if (D.Return) {
       PredTarget = Uarch.Ras.pop();
     } else {
       std::optional<uint64_t> T = Uarch.TargetBuffer.lookup(R.Pc);
       PredTarget = T ? *T : ~0ULL;
     }
-    if (R.I.Rd != RegZero)
+    if (D.Rd != RegZero)
       Uarch.Ras.push(R.Pc + 4);
     BranchOutcome O = PredTarget == R.NextPc
                           ? BranchOutcome::PredictedTaken
                           : BranchOutcome::BackendRedirect;
-    if (!IsReturn)
+    if (!D.Return)
       Uarch.TargetBuffer.insert(R.Pc, R.NextPc);
     return O;
   }
 
-  return BranchOutcome::None;
+  default:
+    return BranchOutcome::None;
+  }
 }
 
 void BranchUpdatePolicy::observeWarming(const ExecRecord &R) {
   if (Config.PerfectBranchPrediction)
     return; // oracle front end never touches the predictor structures
 
-  bool TreatAsCondBranch =
-      R.I.isCondBranch() || (R.I.isBrr() && Config.BrrAsBackendBranch);
-
-  if (TreatAsCondBranch) {
+  const DecodedInst &D = *R.D;
+  switch (D.Kind) {
+  case InstKind::Brr:
+    if (!Config.BrrAsBackendBranch)
+      return; // invisible to predictor and BTB (Section 3.3)
+    [[fallthrough]];
+  case InstKind::CondBranch: {
     BranchPrediction Pred = Uarch.Predictor.predict(R.Pc);
     bool BtbHit = Uarch.TargetBuffer.lookup(R.Pc).has_value();
     bool Effective = Pred.Taken && BtbHit;
@@ -86,22 +89,28 @@ void BranchUpdatePolicy::observeWarming(const ExecRecord &R) {
       Uarch.Predictor.repairHistory(Pred.HistBefore, R.Taken);
     if (R.Taken)
       Uarch.TargetBuffer.insert(R.Pc, R.NextPc);
-  } else if (R.I.isBrr()) {
-    // Invisible to predictor and BTB (Section 3.3).
-  } else if (R.I.isDirectJump()) {
-    if (R.I.Op == Opcode::Jal && R.I.Rd != RegZero)
+    return;
+  }
+
+  case InstKind::DirectJump:
+    if (D.Op == Opcode::Jal && D.Rd != RegZero)
       Uarch.Ras.push(R.Pc + 4);
     if (!Uarch.TargetBuffer.lookup(R.Pc))
       Uarch.TargetBuffer.insert(R.Pc, R.NextPc);
-  } else if (R.I.isIndirect()) {
+    return;
+
+  case InstKind::Indirect:
     // No target prediction is made while warming, so unlike the timed
     // path a non-return indirect performs no BTB lookup here.
-    bool IsReturn = R.I.Rd == RegZero && R.I.Rs1 == RegLr;
-    if (IsReturn)
+    if (D.Return)
       Uarch.Ras.pop();
-    if (R.I.Rd != RegZero)
+    if (D.Rd != RegZero)
       Uarch.Ras.push(R.Pc + 4);
-    if (!IsReturn)
+    if (!D.Return)
       Uarch.TargetBuffer.insert(R.Pc, R.NextPc);
+    return;
+
+  default:
+    return;
   }
 }

@@ -66,7 +66,8 @@ public:
   /// Timed path (Pipeline): applies the update rules and classifies the
   /// front-end outcome for timing. Must not be called under
   /// PerfectBranchPrediction (the oracle front end bypasses the
-  /// structures entirely).
+  /// structures entirely). Both entry points read the record's decoded
+  /// kind; any kind but the four branch kinds is a no-op.
   BranchOutcome observeTimed(const ExecRecord &R);
 
   /// Warming path (FunctionalWarmer): applies the same update rules

@@ -11,37 +11,14 @@ Btb::Btb(const BtbConfig &Config) : Config(Config) {
   assert(Config.Assoc >= 1 && Config.Entries % Config.Assoc == 0);
   NumSets = Config.Entries / Config.Assoc;
   assert(std::has_single_bit(NumSets) && "BTB sets must be a power of two");
+  TagShift = static_cast<unsigned>(std::countr_zero(NumSets));
   Entries.resize(Config.Entries);
-}
-
-uint32_t Btb::setFor(uint64_t Pc) const {
-  return static_cast<uint32_t>((Pc >> 2) & (NumSets - 1));
-}
-
-uint64_t Btb::tagFor(uint64_t Pc) const {
-  return (Pc >> 2) >> std::countr_zero(NumSets);
-}
-
-std::optional<uint64_t> Btb::lookup(uint64_t Pc) {
-  ++Stats.Lookups;
-  ++UseClock;
-  Entry *SetBase = &Entries[static_cast<size_t>(setFor(Pc)) * Config.Assoc];
-  uint64_t Tag = tagFor(Pc);
-  for (uint32_t W = 0; W != Config.Assoc; ++W) {
-    Entry &E = SetBase[W];
-    if (E.Valid && E.Tag == Tag) {
-      E.LastUse = UseClock;
-      ++Stats.Hits;
-      return E.Target;
-    }
-  }
-  return std::nullopt;
 }
 
 void Btb::insert(uint64_t Pc, uint64_t Target) {
   ++Stats.Inserts;
   ++UseClock;
-  Entry *SetBase = &Entries[static_cast<size_t>(setFor(Pc)) * Config.Assoc];
+  Entry *SetBase = setBase(Pc);
   uint64_t Tag = tagFor(Pc);
   Entry *Victim = SetBase;
   for (uint32_t W = 0; W != Config.Assoc; ++W) {

@@ -39,7 +39,21 @@ public:
   explicit Btb(const BtbConfig &Config = BtbConfig());
 
   /// Returns the stored target for the branch at \p Pc, if present.
-  std::optional<uint64_t> lookup(uint64_t Pc);
+  std::optional<uint64_t> lookup(uint64_t Pc) {
+    ++Stats.Lookups;
+    ++UseClock;
+    Entry *SetBase = setBase(Pc);
+    uint64_t Tag = tagFor(Pc);
+    for (uint32_t W = 0; W != Config.Assoc; ++W) {
+      Entry &E = SetBase[W];
+      if (E.Valid && E.Tag == Tag) {
+        E.LastUse = UseClock;
+        ++Stats.Hits;
+        return E.Target;
+      }
+    }
+    return std::nullopt;
+  }
 
   /// Installs (or refreshes) the mapping Pc -> Target, evicting LRU.
   void insert(uint64_t Pc, uint64_t Target);
@@ -55,11 +69,15 @@ private:
     bool Valid = false;
   };
 
-  uint32_t setFor(uint64_t Pc) const;
-  uint64_t tagFor(uint64_t Pc) const;
+  Entry *setBase(uint64_t Pc) {
+    return &Entries[static_cast<size_t>((Pc >> 2) & (NumSets - 1)) *
+                    Config.Assoc];
+  }
+  uint64_t tagFor(uint64_t Pc) const { return (Pc >> 2) >> TagShift; }
 
   BtbConfig Config;
   uint32_t NumSets;
+  unsigned TagShift; ///< log2(NumSets): the set-index bits above Pc[1:0].
   uint64_t UseClock = 0;
   std::vector<Entry> Entries;
   BtbStats Stats;

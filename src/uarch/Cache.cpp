@@ -15,6 +15,8 @@ Cache::Cache(const CacheConfig &Config) : Config(Config) {
   NumSets = Lines / Config.Assoc;
   assert(std::has_single_bit(NumSets) && "set count must be a power of two");
   LineMask = Config.LineBytes - 1;
+  LineShift = static_cast<unsigned>(std::countr_zero(Config.LineBytes));
+  SetShift = static_cast<unsigned>(std::countr_zero(NumSets));
   Ways.resize(static_cast<size_t>(NumSets) * Config.Assoc);
 }
 
@@ -22,9 +24,9 @@ bool Cache::access(uint64_t Addr) {
   ++Stats.Accesses;
   ++UseClock;
 
-  uint64_t Line = Addr / Config.LineBytes;
+  uint64_t Line = Addr >> LineShift;
   uint32_t Set = static_cast<uint32_t>(Line & (NumSets - 1));
-  uint64_t Tag = Line >> std::countr_zero(NumSets);
+  uint64_t Tag = Line >> SetShift;
   Way *SetBase = &Ways[static_cast<size_t>(Set) * Config.Assoc];
 
   Way *Victim = SetBase;
@@ -49,9 +51,9 @@ bool Cache::access(uint64_t Addr) {
 }
 
 bool Cache::contains(uint64_t Addr) const {
-  uint64_t Line = Addr / Config.LineBytes;
+  uint64_t Line = Addr >> LineShift;
   uint32_t Set = static_cast<uint32_t>(Line & (NumSets - 1));
-  uint64_t Tag = Line >> std::countr_zero(NumSets);
+  uint64_t Tag = Line >> SetShift;
   const Way *SetBase = &Ways[static_cast<size_t>(Set) * Config.Assoc];
   for (uint32_t W = 0; W != Config.Assoc; ++W)
     if (SetBase[W].Valid && SetBase[W].Tag == Tag)

@@ -69,6 +69,8 @@ private:
   CacheConfig Config;
   uint32_t NumSets;
   uint64_t LineMask;
+  unsigned LineShift; ///< log2(LineBytes): address to line number.
+  unsigned SetShift;  ///< log2(NumSets): line number to tag.
   uint64_t UseClock = 0;
   std::vector<Way> Ways; ///< NumSets * Assoc entries, set-major.
   CacheStats Stats;

@@ -6,6 +6,7 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 
@@ -169,6 +170,21 @@ Pipeline::~Pipeline() {
     publishUarchCounters(*OwnedUarch);
 }
 
+void Pipeline::StoreTable::resize(size_t NumSlots) {
+  Slots.assign(NumSlots, Slot());
+  Mask = NumSlots - 1;
+  Shift = 64 - static_cast<unsigned>(std::countr_zero(NumSlots));
+  Used = 0;
+}
+
+void Pipeline::StoreTable::grow() {
+  std::vector<Slot> Old = std::move(Slots);
+  resize(2 * Old.size());
+  for (const Slot &S : Old)
+    if (S.Word != Empty)
+      set(S.Word, S.Ready);
+}
+
 uint64_t Pipeline::fetchInstruction(const ExecRecord &R) {
   if (RedirectPending) {
     if (RedirectCycle > FetchCycle) {
@@ -217,28 +233,31 @@ uint64_t Pipeline::placeIssue(uint64_t Earliest, uint64_t Floor) {
 }
 
 uint64_t Pipeline::completeExecution(const ExecRecord &R, uint64_t Issue) {
-  if (R.I.isLoad()) {
+  switch (R.D->Kind) {
+  case InstKind::Load: {
     uint64_t Done =
         Issue + Uarch.MemHier.dataAccess(R.MemAddr, /*IsWrite=*/false);
     // Store-to-load forwarding: data from an in-flight store to the same
-    // word is available one cycle after the store produces it.
-    auto It = StoreReady.find(R.MemAddr & ~7ULL);
-    if (It != StoreReady.end() &&
-        It->second + Config.StoreForwardDelay > Done)
-      Done = It->second + Config.StoreForwardDelay;
+    // word is available StoreForwardDelay cycles after the store produces
+    // it.
+    const uint64_t *Ready = StoreReady.find(R.MemAddr & ~7ULL);
+    if (Ready && *Ready + Config.StoreForwardDelay > Done)
+      Done = *Ready + Config.StoreForwardDelay;
     return Done;
   }
-  if (R.I.isStore()) {
+  case InstKind::Store: {
     // Stores retire from a store buffer; the cache access is charged for
     // hit-rate accounting but does not delay commit.
     Uarch.MemHier.dataAccess(R.MemAddr, /*IsWrite=*/true);
     uint64_t Done = Issue + 1;
-    StoreReady[R.MemAddr & ~7ULL] = Done;
+    StoreReady.set(R.MemAddr & ~7ULL, Done);
     return Done;
   }
-  if (R.I.Op == Opcode::Mul)
+  case InstKind::Mul:
     return Issue + Config.MulLatency;
-  return Issue + 1;
+  default:
+    return Issue + 1;
+  }
 }
 
 RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
@@ -246,6 +265,7 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
       Telemetry ? Telemetry->detailTrace() : nullptr;
   while (!Oracle.halted() && Stats.Insts < MaxInsts) {
     ExecRecord R = Oracle.step();
+    const DecodedInst &DI = *R.D;
     uint64_t F = fetchInstruction(R);
 
     // --- Fetch-time prediction and control classification. -------------
@@ -255,25 +275,38 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
 
     // Count the control classes (identically under the oracle and real
     // front ends), then let the shared update policy train the structures
-    // and classify the front-end outcome.
-    if (R.I.isBrr()) {
+    // and classify the front-end outcome. The policy has nothing to do for
+    // any other kind (halt included), so only the four branch kinds reach
+    // it.
+    bool IsBranch = false;
+    switch (DI.Kind) {
+    case InstKind::Brr:
       ++Stats.BrrExecuted;
       if (R.Taken)
         ++Stats.BrrTaken;
-    } else if (R.I.isCondBranch()) {
+      IsBranch = true;
+      break;
+    case InstKind::CondBranch:
       ++Stats.CondBranches;
-    } else if (R.I.isDirectJump()) {
+      IsBranch = true;
+      break;
+    case InstKind::DirectJump:
       ++Stats.DirectJumps;
-    } else if (R.I.isIndirect()) {
+      IsBranch = true;
+      break;
+    case InstKind::Indirect:
       ++Stats.IndirectBranches;
+      IsBranch = true;
+      break;
+    default:
+      break;
     }
 
-    if (Config.PerfectBranchPrediction) {
+    if (IsBranch && Config.PerfectBranchPrediction) {
       // Oracle front end: redirect with zero penalty, never touch the
       // real predictor structures.
-      if (R.Taken && R.I.isControl() && R.I.Op != Opcode::Halt)
-        PredictedTakenAtFetch = true;
-    } else {
+      PredictedTakenAtFetch = R.Taken;
+    } else if (IsBranch) {
       switch (Policy.observeTimed(R)) {
       case BranchOutcome::None:
         break;
@@ -282,14 +315,14 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
         break;
       case BranchOutcome::DecodeRedirect:
         // A taken brr's short flush, or a direct jump's BTB-miss bubble.
-        if (R.I.isDirectJump())
+        if (DI.Kind == InstKind::DirectJump)
           ++Stats.DirectJumpDecodeRedirects;
         DecodeRedirect = true;
         break;
       case BranchOutcome::BackendRedirect:
-        if (R.I.isCondBranch())
+        if (DI.Kind == InstKind::CondBranch)
           ++Stats.CondMispredicts;
-        else if (R.I.isIndirect())
+        else if (DI.Kind == InstKind::Indirect)
           ++Stats.IndirectMispredicts;
         BackendRedirect = true;
         break;
@@ -303,7 +336,8 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
     uint64_t Disp = 0;
     uint64_t Issue = 0;
 
-    bool CommitsAtDecode = R.I.isBrr() && !Config.BrrAsBackendBranch &&
+    bool IsBrr = DI.Kind == InstKind::Brr;
+    bool CommitsAtDecode = IsBrr && !Config.BrrAsBackendBranch &&
                            Config.BrrCommitsAtDecode &&
                            Config.BrrTrapCycles == 0;
     if (CommitsAtDecode) {
@@ -312,35 +346,31 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
       Done = D;
       C = D;
     } else {
-      uint64_t RobReady = 0;
-      if (RobAllocated >= Config.RobEntries)
-        RobReady = RobSlotFree[RobAllocated % Config.RobEntries] + 1;
       Disp = DispatchStage.place(
-          std::max(D + Config.DecodeToDispatch, RobReady));
+          std::max(D + Config.DecodeToDispatch, RobSlotFree[RobHead]));
 
-      uint64_t Earliest = Disp + Config.DispatchToIssue;
-      uint8_t Srcs[2];
-      unsigned NumSrcs = R.I.sourceRegs(Srcs);
-      for (unsigned S = 0; S != NumSrcs; ++S)
-        Earliest = std::max(Earliest, RegReady[Srcs[S]]);
+      // A missing source reads r0's slot, which is never written.
+      uint64_t Earliest =
+          std::max({Disp + Config.DispatchToIssue, RegReady[DI.Src[0]],
+                    RegReady[DI.Src[1]]});
 
       // Dispatch is in order, so no later instruction can ask to issue
       // before this one's dispatch-to-issue cycle: the window's floor.
       Issue = placeIssue(Earliest, Disp + Config.DispatchToIssue);
       Done = completeExecution(R, Issue);
-      if (R.I.writesReg())
-        RegReady[R.I.Rd] = Done;
+      RegReady[DI.Dst] = Done; // the sink slot when nothing is written
 
       C = CommitStage.place(Done + 1);
-      RobSlotFree[RobAllocated % Config.RobEntries] = C;
-      ++RobAllocated;
+      RobSlotFree[RobHead] = C + 1;
+      if (++RobHead == RobSlotFree.size())
+        RobHead = 0;
       LastCommitCycle = C;
     }
 
     if (Observer) {
       InstTimestamps TS;
       TS.Pc = R.Pc;
-      TS.I = R.I;
+      TS.I = Dec.program().at(Dec.indexForPc(R.Pc));
       TS.Fetch = F;
       TS.Decode = D;
       TS.Dispatch = Disp;
@@ -356,12 +386,11 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
     ++Stats.Insts;
     Stats.Cycles = std::max({Stats.Cycles, C, D});
 
-    if (R.I.Op == Opcode::Marker)
-      Markers.push_back({R.I.Imm, C, Stats.Insts});
+    if (DI.Kind == InstKind::Marker)
+      Markers.push_back({static_cast<int32_t>(DI.Imm), C, Stats.Insts});
 
     // --- Redirect scheduling. -------------------------------------------
-    if (R.I.isBrr() && Config.BrrTrapCycles != 0 &&
-        !Config.BrrAsBackendBranch) {
+    if (IsBrr && Config.BrrTrapCycles != 0 && !Config.BrrAsBackendBranch) {
       // Trap emulation: the invalid opcode excepts at decode; the handler
       // emulates the LFSR and resumes at the fall-through or the target.
       RedirectPending = true;
@@ -380,7 +409,7 @@ RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
     }
 
     if (Detail) {
-      if (R.I.isBrr() && R.Taken)
+      if (IsBrr && R.Taken)
         Detail->instant("brr taken", "pipeline",
                         {telemetry::TraceArg::num("pc", R.Pc),
                          telemetry::TraceArg::num("cycle", C)});

@@ -45,7 +45,6 @@
 #include "uarch/ReturnAddressStack.h"
 
 #include <cassert>
-#include <unordered_map>
 #include <vector>
 
 namespace bor {
@@ -222,6 +221,69 @@ private:
     }
   };
 
+  /// Store-to-load forwarding: the cycle at which the youngest store to
+  /// each 8-byte-aligned word has produced its data, kept for every word
+  /// the run stores to. A later load from the same word cannot complete
+  /// before this (this is what serializes a counter-based framework's
+  /// load/decrement/store chain across sites). A flat open-addressed
+  /// table: power-of-two capacity, linear probing, at most half full, and
+  /// entries are never erased. ~0 marks an empty slot; it is never an
+  /// aligned word.
+  class StoreTable {
+  public:
+    StoreTable() { resize(64); }
+
+    /// Ready cycle of the youngest store to \p Word, or null if none.
+    const uint64_t *find(uint64_t Word) const {
+      for (size_t I = home(Word);; I = (I + 1) & Mask) {
+        const Slot &S = Slots[I];
+        if (S.Word == Word)
+          return &S.Ready;
+        if (S.Word == Empty)
+          return nullptr;
+      }
+    }
+
+    /// Records \p Ready as the youngest store to \p Word.
+    void set(uint64_t Word, uint64_t Ready) {
+      size_t I = home(Word);
+      while (Slots[I].Word != Word) {
+        if (Slots[I].Word == Empty) {
+          if (2 * (Used + 1) > Slots.size()) {
+            grow();
+            set(Word, Ready);
+            return;
+          }
+          Slots[I].Word = Word;
+          ++Used;
+          break;
+        }
+        I = (I + 1) & Mask;
+      }
+      Slots[I].Ready = Ready;
+    }
+
+  private:
+    static constexpr uint64_t Empty = ~0ULL;
+    struct Slot {
+      uint64_t Word = Empty;
+      uint64_t Ready = 0;
+    };
+
+    /// Fibonacci hashing of the word index onto the table.
+    size_t home(uint64_t Word) const {
+      return static_cast<size_t>(((Word >> 3) * 0x9e3779b97f4a7c15ULL) >>
+                                 Shift);
+    }
+    void resize(size_t NumSlots);
+    void grow();
+
+    std::vector<Slot> Slots;
+    size_t Mask = 0;
+    unsigned Shift = 0;
+    size_t Used = 0;
+  };
+
   uint64_t fetchInstruction(const ExecRecord &R);
   uint64_t placeIssue(uint64_t Earliest, uint64_t Floor);
   /// Completion cycle of \p R when it issues at \p Issue, including cache
@@ -260,15 +322,15 @@ private:
   InOrderStage CommitStage;
 
   // Back-end state.
-  std::array<uint64_t, 32> RegReady;
-  /// Store-to-load forwarding: cycle at which the youngest store to each
-  /// 8-byte-aligned address has produced its data. A later load to the
-  /// same address cannot complete before this (this is what serializes a
-  /// counter-based framework's load/decrement/store chain across sites).
-  std::unordered_map<uint64_t, uint64_t> StoreReady;
+  /// Cycle each operand slot's value is ready (sim/Decode.h: registers,
+  /// then the never-read sink).
+  std::array<uint64_t, NumRegSlots> RegReady;
+  StoreTable StoreReady;
   IssueWindow IssueSlots; ///< OoO issue-width tracking.
-  std::vector<uint64_t> RobSlotFree; ///< commit cycle per ROB slot (ring).
-  uint64_t RobAllocated = 0;
+  /// Per ROB slot, one past the commit cycle of its latest occupant (0
+  /// while never occupied): the earliest cycle the slot can be reused.
+  std::vector<uint64_t> RobSlotFree;
+  size_t RobHead = 0; ///< the slot the next dispatch takes (ring index).
   uint64_t LastCommitCycle = 0;
 
   PipelineStats Stats;

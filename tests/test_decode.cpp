@@ -5,18 +5,21 @@
 //  1. Decoding is semantics-preserving. A reference stepper that re-derives
 //     every operand from the raw Inst on each step (sign-extending the
 //     immediate, masking the shift amount, resolving the branch target as
-//     PC + 4*Imm) must produce the same ExecRecord stream, the same
-//     RunStats and the same final architectural state as the engine
-//     executing the pre-decoded image. Fuzzed over random structured
-//     programs with matched deterministic deciders.
+//     PC + 4*Imm) must produce the same execution stream (PC, next PC,
+//     branch outcome, effective address), the same RunStats and the same
+//     final architectural state as the engine executing the pre-decoded
+//     image, and every engine record must point at its instruction in the
+//     image. Fuzzed over random structured programs with matched
+//     deterministic deciders.
 //
 //  2. The two engine modes agree. run()'s block-chained threaded dispatch
 //     must leave the same state, stats and marker observations as a step()
 //     loop over the same decoded image, including under partial-budget
 //     runs that force chain exits mid-block.
 //
-// Plus unit tests of the DecodedProgram image itself (flags, pre-resolved
-// targets, pre-masked shift immediates, run lengths, block counts).
+// Plus unit tests of the DecodedProgram image itself (kinds, return bit and
+// operand slots against the Inst helpers for every opcode, pre-resolved
+// targets, pre-masked shift immediates).
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +35,16 @@ using namespace bor;
 namespace {
 
 using namespace bor::testgen;
+
+/// One step of the reference stepper: what an ExecRecord carries, with the
+/// raw instruction in place of the decoded one.
+struct RefRecord {
+  uint64_t Pc = 0;
+  Inst I;
+  uint64_t NextPc = 0;
+  bool Taken = false;
+  uint64_t MemAddr = 0;
+};
 
 /// Reference functional stepper over the *raw* Program image. Every
 /// operand is derived from the Inst at execution time — the behavior the
@@ -51,8 +64,8 @@ public:
   bool halted() const { return Mach.halted(); }
   const RunStats &stats() const { return Stats; }
 
-  ExecRecord step() {
-    ExecRecord R;
+  RefRecord step() {
+    RefRecord R;
     R.Pc = Mach.pc();
     R.I = Prog.at(Prog.indexForPc(R.Pc));
     const Inst &I = R.I;
@@ -273,7 +286,7 @@ constexpr uint64_t StepBudget = 4000000;
 
 class DecodeDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-// Property 1: identical ExecRecord streams from the decoded engine's
+// Property 1: identical execution streams from the decoded engine's
 // step() and the raw-Inst reference stepper.
 TEST_P(DecodeDifferential, StepMatchesReference) {
   Program P = randomProgram(GetParam());
@@ -290,7 +303,7 @@ TEST_P(DecodeDifferential, StepMatchesReference) {
   uint64_t Steps = 0;
   while (!Ref.halted() && Steps != StepBudget) {
     ASSERT_FALSE(Eng.halted()) << "engine halted early at step " << Steps;
-    ExecRecord A = Ref.step();
+    RefRecord A = Ref.step();
     ExecRecord B = Eng.step();
     ASSERT_EQ(A.Pc, B.Pc) << "step " << Steps;
     ASSERT_EQ(A.NextPc, B.NextPc)
@@ -298,12 +311,9 @@ TEST_P(DecodeDifferential, StepMatchesReference) {
         << " op=" << static_cast<unsigned>(A.I.Op);
     ASSERT_EQ(A.Taken, B.Taken) << "step " << Steps << " pc=" << A.Pc;
     ASSERT_EQ(A.MemAddr, B.MemAddr) << "step " << Steps << " pc=" << A.Pc;
-    ASSERT_EQ(A.I.Op, B.I.Op);
-    ASSERT_EQ(A.I.Rd, B.I.Rd);
-    ASSERT_EQ(A.I.Rs1, B.I.Rs1);
-    ASSERT_EQ(A.I.Rs2, B.I.Rs2);
-    ASSERT_EQ(A.I.Imm, B.I.Imm) << "records must carry the raw immediate";
-    ASSERT_EQ(A.I.Freq, B.I.Freq);
+    ASSERT_EQ(B.D, &DP.at(A.Pc / 4))
+        << "records must point at their instruction in the image";
+    ASSERT_EQ(A.I, P.at(A.Pc / 4));
     ++Steps;
   }
   ASSERT_TRUE(Ref.halted()) << "reference did not halt within budget";
@@ -398,33 +408,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecodeDifferential,
 // DecodedProgram image unit tests.
 //===----------------------------------------------------------------------===//
 
+// Every opcode, with rd = r0 and rd != r0, and with rs1 = lr and rs1 !=
+// lr: the decoded kind, return bit and operand slots agree with the Inst
+// helpers the rest of the tree classifies with.
 TEST(DecodedProgram, FlagsAndClasses) {
+  static_assert(NumOpcodes == 33, "the sweep must cover every opcode");
   ProgramBuilder B;
-  B.emit(Inst::ld(1, 2, 8));              // 0
-  B.emit(Inst::st(1, 2, 16));             // 1
-  B.emit(Inst::branch(Opcode::Beq, 1, 2, 2)); // 2
-  B.emit(Inst::jmp(1));                   // 3
-  B.emit(Inst::marker(7));                // 4
-  B.emit(Inst::ret());                    // 5: jalr r0, lr
-  B.emit(Inst::jalr(1, 3));               // 6: indirect call, not a return
-  B.emit(Inst::add(3, 1, 2));             // 7
-  B.emit(Inst::halt());                   // 8
+  std::vector<Inst> Swept;
+  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
+    for (uint8_t Rd : {uint8_t(RegZero), uint8_t(5)})
+      for (uint8_t Rs1 : {uint8_t(6), uint8_t(RegLr)}) {
+        Inst I{static_cast<Opcode>(Op), Rd, Rs1, 7, 1, 2};
+        B.emit(I);
+        Swept.push_back(I);
+      }
   Program P = B.finish();
   DecodedProgram DP(P);
+  ASSERT_EQ(DP.numInsts(), Swept.size());
 
-  ASSERT_EQ(DP.numInsts(), 9u);
-  EXPECT_EQ(DP.at(0).Flags, DIF_Load);
-  EXPECT_EQ(DP.at(1).Flags, DIF_Store);
-  EXPECT_EQ(DP.at(2).Flags, DIF_Control | DIF_EndsBlock);
-  EXPECT_EQ(DP.at(3).Flags, DIF_Control | DIF_EndsBlock);
-  // Markers end a block without being control.
-  EXPECT_EQ(DP.at(4).Flags, DIF_EndsBlock);
-  EXPECT_EQ(DP.at(5).Flags, DIF_Control | DIF_EndsBlock | DIF_Return);
-  EXPECT_TRUE(DP.at(5).isReturn());
-  EXPECT_EQ(DP.at(6).Flags, DIF_Control | DIF_EndsBlock);
-  EXPECT_FALSE(DP.at(6).isReturn());
-  EXPECT_EQ(DP.at(7).Flags, DIF_None);
-  EXPECT_EQ(DP.at(8).Flags, DIF_Control | DIF_EndsBlock);
+  for (size_t Index = 0; Index != Swept.size(); ++Index) {
+    const Inst &I = Swept[Index];
+    const DecodedInst &D = DP.at(Index);
+    SCOPED_TRACE(std::string(opcodeName(I.Op)) + " rd=" +
+                 std::to_string(I.Rd) + " rs1=" + std::to_string(I.Rs1));
+    EXPECT_EQ(D.Kind == InstKind::Load, I.isLoad());
+    EXPECT_EQ(D.Kind == InstKind::Store, I.isStore());
+    EXPECT_EQ(D.Kind == InstKind::CondBranch, I.isCondBranch());
+    EXPECT_EQ(D.Kind == InstKind::Brr, I.isBrr());
+    EXPECT_EQ(D.Kind == InstKind::DirectJump, I.isDirectJump());
+    EXPECT_EQ(D.Kind == InstKind::Indirect, I.isIndirect());
+    EXPECT_EQ(D.Kind == InstKind::Halt, I.Op == Opcode::Halt);
+    EXPECT_EQ(D.Kind == InstKind::Marker, I.Op == Opcode::Marker);
+    EXPECT_EQ(D.Kind == InstKind::Mul, I.Op == Opcode::Mul);
+    EXPECT_EQ(D.Return,
+              I.isIndirect() && I.Rd == RegZero && I.Rs1 == RegLr);
+
+    uint8_t Srcs[2];
+    unsigned NumSrcs = I.sourceRegs(Srcs);
+    for (unsigned S = 0; S != 2; ++S)
+      EXPECT_EQ(unsigned(D.Src[S]),
+                unsigned(S < NumSrcs ? Srcs[S] : NoSrcSlot))
+          << "src " << S;
+    EXPECT_EQ(unsigned(D.Dst), unsigned(I.writesReg() ? I.Rd : NoDstSlot));
+    // The slot a missing source reads must never be written.
+    EXPECT_NE(unsigned(D.Dst), unsigned(NoSrcSlot));
+  }
 }
 
 TEST(DecodedProgram, PreResolvedTargets) {
@@ -461,39 +489,6 @@ TEST(DecodedProgram, ImmediatePreprocessing) {
   EXPECT_EQ(DP.at(1).Imm, 4);
   EXPECT_EQ(DP.at(2).Imm, 63);
   EXPECT_EQ(DP.at(3).Imm, -1);
-}
-
-TEST(DecodedProgram, RunLengthsAndBlocks) {
-  ProgramBuilder B;
-  B.emit(Inst::add(1, 1, 2));                 // 0: run 3
-  B.emit(Inst::add(1, 1, 2));                 // 1: run 2
-  B.emit(Inst::branch(Opcode::Beq, 1, 2, 2)); // 2: run 1, ends block
-  B.emit(Inst::marker(1));                    // 3: run 1, ends block
-  B.emit(Inst::add(1, 1, 2));                 // 4: run 2
-  B.emit(Inst::halt());                       // 5: run 1, ends block
-  Program P = B.finish();
-  DecodedProgram DP(P);
-
-  EXPECT_EQ(DP.at(0).RunLen, 3u);
-  EXPECT_EQ(DP.at(1).RunLen, 2u);
-  EXPECT_EQ(DP.at(2).RunLen, 1u);
-  EXPECT_EQ(DP.at(3).RunLen, 1u);
-  EXPECT_EQ(DP.at(4).RunLen, 2u);
-  EXPECT_EQ(DP.at(5).RunLen, 1u);
-  EXPECT_EQ(DP.numBlocks(), 3u);
-}
-
-TEST(DecodedProgram, TrailingStraightLineRunCountsAsBlock) {
-  ProgramBuilder B;
-  B.emit(Inst::marker(1)); // 0: ends block
-  B.emit(Inst::add(1, 1, 2)); // 1: trailing run, no terminator
-  B.emit(Inst::add(1, 1, 2)); // 2
-  Program P = B.finish();
-  DecodedProgram DP(P);
-
-  EXPECT_EQ(DP.at(1).RunLen, 2u);
-  EXPECT_EQ(DP.at(2).RunLen, 1u);
-  EXPECT_EQ(DP.numBlocks(), 2u);
 }
 
 TEST(DecodedProgram, SharedImageAcrossEngines) {

@@ -284,6 +284,7 @@ TEST(Interpreter, ExecRecordReportsBranchOutcome) {
   EXPECT_TRUE(R.Taken);
   EXPECT_EQ(R.NextPc, 12u);
   EXPECT_EQ(R.Pc, 4u);
+  EXPECT_EQ(R.D, &I.decoded().at(1));
 }
 
 TEST(Interpreter, RdLfsrReadsAndStepsTheGenerator) {

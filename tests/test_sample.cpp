@@ -166,7 +166,7 @@ TEST(SampledRunner, MarkersDelimitTheRoi) {
   while (!I.halted()) {
     ExecRecord R = I.step();
     ++Inst;
-    if (R.I.Op == Opcode::Marker)
+    if (R.D->Kind == InstKind::Marker)
       FunctionalMarkers.push_back(Inst);
   }
   ASSERT_EQ(FunctionalMarkers.size(), 2u);

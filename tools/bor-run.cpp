@@ -361,7 +361,8 @@ int main(int Argc, char **Argv) {
     for (uint64_t I = 0; I != Opt.PrintInsts && !Interp.halted(); ++I) {
       ExecRecord Rec = Interp.step();
       std::printf("%6" PRIu64 "  %s\n", Rec.Pc / 4,
-                  disassemble(Rec.I, static_cast<int64_t>(Rec.Pc / 4))
+                  disassemble(R.Prog.at(Rec.Pc / 4),
+                              static_cast<int64_t>(Rec.Pc / 4))
                       .c_str());
     }
 
