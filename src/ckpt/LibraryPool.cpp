@@ -14,8 +14,11 @@
 using namespace bor;
 using namespace bor::ckpt;
 
-uint64_t LibraryPool::keyFor(const Program &P, const BrrUnitConfig &Brr,
-                             uint64_t PeriodInsts) {
+namespace {
+
+/// LibraryPool::keyFor, given the program already serialized.
+uint64_t keyForBytes(const std::vector<uint8_t> &ProgramBytes,
+                     const BrrUnitConfig &Brr, uint64_t PeriodInsts) {
   // FNV-1a over the serialized program, then the decider configuration and
   // the period folded in word-wise. Purely content-derived, so the same
   // workload maps to the same cache file across processes.
@@ -25,7 +28,7 @@ uint64_t LibraryPool::keyFor(const Program &P, const BrrUnitConfig &Brr,
     for (int I = 0; I != 8; ++I)
       foldByte(static_cast<uint8_t>(V >> (8 * I)));
   };
-  for (uint8_t B : serializeProgram(P))
+  for (uint8_t B : ProgramBytes)
     foldByte(B);
   foldU64(Brr.LfsrWidth);
   foldU64(Brr.TapMask);
@@ -33,6 +36,13 @@ uint64_t LibraryPool::keyFor(const Program &P, const BrrUnitConfig &Brr,
   foldU64(static_cast<uint64_t>(Brr.Policy));
   foldU64(PeriodInsts);
   return H;
+}
+
+} // namespace
+
+uint64_t LibraryPool::keyFor(const Program &P, const BrrUnitConfig &Brr,
+                             uint64_t PeriodInsts) {
+  return keyForBytes(serializeProgram(P), Brr, PeriodInsts);
 }
 
 std::string LibraryPool::cachePathFor(uint64_t Key) const {
@@ -43,50 +53,46 @@ std::string LibraryPool::cachePathFor(uint64_t Key) const {
   return CacheDir + "/" + Name;
 }
 
-size_t LibraryPool::numLibraries() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Entries.size();
-}
+size_t LibraryPool::numLibraries() const { return Libraries.size(); }
 
 std::shared_ptr<const CheckpointLibrary>
 LibraryPool::getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
                         uint64_t PeriodInsts,
                         const telemetry::TelemetrySink *Telemetry,
                         uint64_t MaxInsts) {
-  const uint64_t Key = keyFor(DP.program(), Brr, PeriodInsts);
-  std::shared_ptr<Entry> E;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    std::shared_ptr<Entry> &Slot = Entries[Key];
-    if (!Slot)
-      Slot = std::make_shared<Entry>();
-    E = Slot;
-  }
-
-  std::call_once(E->Once, [&] {
+  const std::vector<uint8_t> ProgramBytes = serializeProgram(DP.program());
+  const uint64_t Key = keyForBytes(ProgramBytes, Brr, PeriodInsts);
+  return Libraries.getOrBuild(Key, [&] {
     const std::string Path = cachePathFor(Key);
     if (!Path.empty()) {
       std::error_code Ec;
       const bool Exists = std::filesystem::exists(Path, Ec);
       Program Cached;
       CheckpointLibrary Lib;
-      std::string Error =
-          "header mismatch (wrong period, decider or decider state size)";
-      if (Exists && loadLibraryFile(Path, Cached, Lib, Error) &&
-          Lib.periodInsts() == PeriodInsts && Lib.deciderKind() == "lfsr" &&
-          Lib.front().DeciderWords.size() ==
-              BrrUnitDecider::NumCheckpointWords) {
-        if (telemetry::CounterRegistry::enabled()) {
-          static const telemetry::Counter Loaded("ckpt.libraries.loaded");
-          Loaded.add();
+      std::string Error;
+      if (Exists && loadLibraryFile(Path, Cached, Lib, Error)) {
+        if (serializeProgram(Cached) != ProgramBytes)
+          Error = "it holds a different program";
+        else if (Lib.periodInsts() != PeriodInsts ||
+                 Lib.deciderKind() != "lfsr" ||
+                 Lib.front().DeciderWords.size() !=
+                     BrrUnitDecider::NumCheckpointWords)
+          Error =
+              "header mismatch (wrong period, decider or decider state size)";
+        else {
+          if (telemetry::CounterRegistry::enabled()) {
+            static const telemetry::Counter Loaded("ckpt.libraries.loaded");
+            Loaded.add();
+          }
+          return std::make_shared<CheckpointLibrary>(std::move(Lib));
         }
-        E->Lib = std::make_shared<CheckpointLibrary>(std::move(Lib));
-        return;
       }
       if (Exists) {
-        // A cache file that exists but will not load is corruption (e.g. a
-        // torn write from a killed process, or bit rot) — never fatal: warn,
-        // count it, and fall through to a clean rebuild that overwrites it.
+        // A cache file that exists but will not load, or holds another
+        // program, is corruption (e.g. a torn write from a killed process,
+        // bit rot, or a file copied over another's name) — never fatal:
+        // warn, count it, and fall through to a clean rebuild that
+        // overwrites it.
         std::fprintf(stderr,
                      "warning: checkpoint library cache '%s' is corrupt "
                      "(%s); rebuilding\n",
@@ -120,7 +126,6 @@ LibraryPool::getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
                      Path.c_str());
       }
     }
-    E->Lib = std::move(Built);
+    return Built;
   });
-  return E->Lib;
 }

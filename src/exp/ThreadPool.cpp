@@ -74,11 +74,6 @@ void ThreadPool::workerLoop() {
   }
 }
 
-uint64_t ThreadPool::tasksExecuted() const {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  return Executed;
-}
-
 unsigned ThreadPool::defaultThreads() {
   unsigned N = std::thread::hardware_concurrency();
   return N ? N : 1;

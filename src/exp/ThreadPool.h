@@ -45,9 +45,6 @@ public:
 
   unsigned size() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Tasks that have finished executing over the pool's lifetime.
-  uint64_t tasksExecuted() const;
-
   /// The default worker count: the hardware concurrency, or 1 if the
   /// runtime cannot tell.
   static unsigned defaultThreads();
@@ -57,7 +54,7 @@ private:
 
   std::vector<std::thread> Workers;
   std::deque<std::function<void()>> Queue;
-  mutable std::mutex Mutex;
+  std::mutex Mutex;
   std::condition_variable WorkAvailable;
   std::condition_variable AllDone;
   size_t Unfinished = 0; ///< queued + currently executing

@@ -5,6 +5,8 @@
 #include "cfg/Cfg.h"
 #include "isa/Encoding.h"
 
+#include <algorithm>
+
 using namespace bor;
 
 ProgramBuilder::LabelId ProgramBuilder::label() {
@@ -105,9 +107,7 @@ void ProgramBuilder::initDataBytes(uint64_t Addr,
                                    const std::vector<uint8_t> &Bytes) {
   assert(Addr >= DataBase && Addr + Bytes.size() <= DataBase + Data.size() &&
          "byte init outside allocated data");
-  size_t Offset = Addr - DataBase;
-  for (size_t I = 0; I != Bytes.size(); ++I)
-    Data[Offset + I] = Bytes[I];
+  std::copy(Bytes.begin(), Bytes.end(), Data.begin() + (Addr - DataBase));
 }
 
 void ProgramBuilder::nameData(const std::string &Name, uint64_t Addr) {

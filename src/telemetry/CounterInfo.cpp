@@ -136,6 +136,10 @@ const CounterInfo Table[] = {
     {"sample.insts.warmed", "functional-warming instructions executed"},
     {"sample.intervals", "detailed intervals measured"},
     {"sample.runs", "sampled runs completed"},
+    {"workloads.text.built",
+     "microbenchmark texts generated (one per distinct TextConfig)"},
+    {"workloads.text.reused",
+     "generateText calls answered from the process-wide text memo"},
 };
 
 } // namespace

@@ -204,7 +204,7 @@ KernelProgram buildStrSearch(const KernelConfig &Config) {
   TextConfig TC;
   TC.NumChars = M;
   TC.Seed = Config.Seed;
-  std::vector<uint8_t> Text = generateText(TC);
+  const std::vector<uint8_t> &Text = generateText(TC);
   std::vector<uint8_t> Pattern(Text.begin() + M / 3,
                                Text.begin() + M / 3 + PatLen);
   uint64_t TextAddr = B.allocData(M, 8);

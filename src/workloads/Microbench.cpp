@@ -121,7 +121,7 @@ MicrobenchProgram bor::buildMicrobench(const MicrobenchConfig &Config) {
   uint64_t DistBase = B.allocData(256 * 8, 8);
   B.nameData("dist", DistBase);
 
-  std::vector<uint8_t> Text = generateText(Config.Text);
+  const std::vector<uint8_t> &Text = generateText(Config.Text);
   uint64_t TextBase = B.allocData(Text.size(), 8);
   B.initDataBytes(TextBase, Text);
   B.nameData("text", TextBase);

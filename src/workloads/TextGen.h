@@ -41,7 +41,15 @@ struct TextStats {
   uint64_t Other = 0;
 };
 
-std::vector<uint8_t> generateText(const TextConfig &Config);
+/// Returns the text for \p Config. The text is a pure function of its
+/// config, so each distinct config is generated once per process: the
+/// first call builds it, and every later call, from any thread, returns a
+/// reference to the same bytes. The memo is keyed on every TextConfig
+/// field (the two probabilities by their bit patterns), lives until the
+/// process exits and is never evicted, so each distinct config keeps its
+/// NumChars bytes for the rest of the run. The workloads.text.built and
+/// workloads.text.reused counters count the two outcomes.
+const std::vector<uint8_t> &generateText(const TextConfig &Config);
 
 TextStats classifyText(const std::vector<uint8_t> &Text);
 

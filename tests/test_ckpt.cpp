@@ -777,6 +777,16 @@ TEST(LibraryPool, CorruptCacheFileIsRebuiltNotFatal) {
     ASSERT_TRUE(saveProgram(MB.Prog, Path,
                             {ContainerSection::make("CKPL", Payload)}));
   };
+  // Another fig13 variant's library, as a cache file copied over this
+  // key's name would hold: it loads cleanly and passes every header check,
+  // but holds another program.
+  MicrobenchConfig OtherConfig;
+  OtherConfig.Text.NumChars = 4000;
+  OtherConfig.Instr.Framework = SamplingFramework::BrrBased;
+  OtherConfig.Instr.Interval = 64;
+  const MicrobenchProgram Other = buildMicrobench(OtherConfig);
+  const DecodedProgram OtherDP(Other.Prog);
+  const CheckpointLibrary OtherLib = buildLibrary(OtherDP, Plan.PeriodInsts);
   const std::pair<const char *, std::function<void()>> Corruptions[] = {
       // Garbage over the header, as a torn write from a killed process
       // would leave.
@@ -792,6 +802,8 @@ TEST(LibraryPool, CorruptCacheFileIsRebuiltNotFatal) {
       {"3 decider words", [&] { writePayload(ThreeWords); }},
       {"3 decider words everywhere",
        [&] { writePayload(ThreeWordsEverywhere); }},
+      {"another program",
+       [&] { ASSERT_TRUE(saveLibraryFile(Other.Prog, OtherLib, Path)); }},
   };
 
   telemetry::CounterRegistry &Registry = telemetry::CounterRegistry::instance();
