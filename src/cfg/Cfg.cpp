@@ -10,21 +10,6 @@
 using namespace bor;
 using namespace bor::cfg;
 
-const char *cfg::edgeKindName(EdgeKind K) {
-  switch (K) {
-  case EdgeKind::Fall:
-    return "fall";
-  case EdgeKind::Taken:
-    return "taken";
-  case EdgeKind::BrrTaken:
-    return "brr";
-  case EdgeKind::Call:
-    return "call";
-  }
-  assert(false && "unknown edge kind");
-  return "?";
-}
-
 Opcode cfg::invertedBranchOpcode(Opcode Op) {
   switch (Op) {
   case Opcode::Beq:
@@ -52,63 +37,6 @@ void Module::setLayout(std::vector<BlockId> L) {
   }
 #endif
   Layout = std::move(L);
-}
-
-uint64_t Module::allocData(size_t Size, size_t Align) {
-  assert(Align != 0 && (Align & (Align - 1)) == 0 &&
-         "alignment must be a power of two");
-  size_t Offset = Data.size();
-  Offset = (Offset + Align - 1) & ~(Align - 1);
-  Data.resize(Offset + Size, 0);
-  return DataBase + Offset;
-}
-
-void Module::initDataU64(uint64_t Addr, uint64_t Value) {
-  assert(Addr >= DataBase && Addr + 8 <= DataBase + Data.size() &&
-         "u64 init outside allocated data");
-  size_t Offset = Addr - DataBase;
-  for (unsigned I = 0; I != 8; ++I)
-    Data[Offset + I] = static_cast<uint8_t>(Value >> (8 * I));
-}
-
-BlockId Module::splitBlock(BlockId Id, uint32_t At) {
-  assert(Id < Blocks.size() && "block id out of range");
-  assert(At <= Blocks[Id].Insts.size() && "split point outside block");
-  size_t OldSize = Blocks[Id].Insts.size();
-  BlockId Cont = addBlock(); // may reallocate Blocks; take refs after
-  BasicBlock &B = Blocks[Id];
-  BasicBlock &C = Blocks[Cont];
-  C.Insts.assign(B.Insts.begin() + At, B.Insts.end());
-  B.Insts.resize(At);
-  C.Succs = std::move(B.Succs);
-  B.Succs.clear();
-  B.Succs.push_back({Cont, EdgeKind::Fall});
-  if (B.OrigIndex != ~static_cast<size_t>(0)) {
-    C.OrigIndex = B.OrigIndex + At;
-    for (size_t I = C.OrigIndex;
-         I != B.OrigIndex + OldSize && I < IndexToBlock.size(); ++I)
-      if (IndexToBlock[I] == Id)
-        IndexToBlock[I] = Cont;
-  }
-  auto It = std::find(Layout.begin(), Layout.end(), Id);
-  assert(It != Layout.end() && "split block missing from layout");
-  Layout.insert(It + 1, Cont);
-  for (CodeSymbol &S : CodeSymbols)
-    if (S.Block == Id && S.Offset >= At) {
-      S.Block = Cont;
-      S.Offset -= At;
-    }
-  return Cont;
-}
-
-void Module::insertInsts(BlockId Id, uint32_t At,
-                         const std::vector<Inst> &Ins) {
-  BasicBlock &B = block(Id);
-  assert(At <= B.Insts.size() && "insertion point outside block");
-  B.Insts.insert(B.Insts.begin() + At, Ins.begin(), Ins.end());
-  for (CodeSymbol &S : CodeSymbols)
-    if (S.Block == Id && S.Offset >= At)
-      S.Offset += static_cast<uint32_t>(Ins.size());
 }
 
 void Module::computeFunctions() {
@@ -225,7 +153,7 @@ Module cfg::buildModule(const Program &P) {
   M.setData(P.data());
 
   std::vector<BlockId> IndexToBlock(N, NoBlock);
-  std::vector<size_t> BlockStart; // source index of each block's head
+  std::vector<BlockId> Layout;
   for (size_t I = 0; I != N;) {
     size_t End = I + 1;
     while (End != N && !Leader[End])
@@ -236,16 +164,16 @@ Module cfg::buildModule(const Program &P) {
     B.Insts.assign(Code.begin() + I, Code.begin() + End);
     for (size_t J = I; J != End; ++J)
       IndexToBlock[J] = Id;
-    BlockStart.push_back(I);
-    M.appendToLayout(Id);
+    Layout.push_back(Id);
     I = End;
   }
   BlockId Sentinel = NoBlock;
   if (NeedsSentinel) {
     Sentinel = M.addBlock();
     M.block(Sentinel).OrigIndex = N;
-    M.appendToLayout(Sentinel);
+    Layout.push_back(Sentinel);
   }
+  M.setLayout(std::move(Layout));
 
   auto BlockAt = [&](size_t Index) -> BlockId {
     if (Index == N) {

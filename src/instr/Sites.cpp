@@ -2,8 +2,6 @@
 
 #include "instr/Sites.h"
 
-#include "cfg/Cfg.h"
-
 using namespace bor;
 
 ProfileTable::ProfileTable(ProgramBuilder &B, const std::string &Name,
@@ -13,16 +11,9 @@ ProfileTable::ProfileTable(ProgramBuilder &B, const std::string &Name,
   B.nameData(Name, Base);
 }
 
-ProfileTable::ProfileTable(cfg::Module &M, const std::string &Name,
-                           size_t NumCounters)
-    : NumCounters(NumCounters) {
-  Base = M.allocData(8 * NumCounters, 8);
-  M.nameData(Name, Base);
-}
-
-void ProfileTable::appendIncrement(std::vector<Inst> &Out, size_t I,
-                                   uint8_t BaseReg, uint64_t BaseRegValue,
-                                   uint8_t ScratchReg) const {
+void ProfileTable::emitIncrement(ProgramBuilder &B, size_t I, uint8_t BaseReg,
+                                 uint64_t BaseRegValue,
+                                 uint8_t ScratchReg) const {
   int64_t Disp = static_cast<int64_t>(counterAddr(I)) -
                  static_cast<int64_t>(BaseRegValue);
   // The displacement must fit the 16-bit load/store immediate; allocating
@@ -30,18 +21,9 @@ void ProfileTable::appendIncrement(std::vector<Inst> &Out, size_t I,
   assert(Disp >= -32768 && Disp <= 32767 &&
          "profile counter out of displacement range");
   int32_t D = static_cast<int32_t>(Disp);
-  Out.push_back(Inst::ld(ScratchReg, BaseReg, D));
-  Out.push_back(Inst::addi(ScratchReg, ScratchReg, 1));
-  Out.push_back(Inst::st(ScratchReg, BaseReg, D));
-}
-
-void ProfileTable::emitIncrement(ProgramBuilder &B, size_t I, uint8_t BaseReg,
-                                 uint64_t BaseRegValue,
-                                 uint8_t ScratchReg) const {
-  std::vector<Inst> Seq;
-  appendIncrement(Seq, I, BaseReg, BaseRegValue, ScratchReg);
-  for (const Inst &In : Seq)
-    B.emit(In);
+  B.emit(Inst::ld(ScratchReg, BaseReg, D));
+  B.emit(Inst::addi(ScratchReg, ScratchReg, 1));
+  B.emit(Inst::st(ScratchReg, BaseReg, D));
 }
 
 std::vector<uint64_t> ProfileTable::read(const Machine &M) const {

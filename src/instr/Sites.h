@@ -24,10 +24,6 @@
 
 namespace bor {
 
-namespace cfg {
-class Module;
-}
-
 /// A block of profile counters in the data segment.
 class ProfileTable {
 public:
@@ -35,9 +31,6 @@ public:
   /// \p Name in the program's symbol table.
   ProfileTable(ProgramBuilder &B, const std::string &Name,
                size_t NumCounters);
-
-  /// CFG-path variant: reserves the counters in a module's data segment.
-  ProfileTable(cfg::Module &M, const std::string &Name, size_t NumCounters);
 
   uint64_t baseAddr() const { return Base; }
   size_t numCounters() const { return NumCounters; }
@@ -54,11 +47,6 @@ public:
   /// experiments.
   void emitIncrement(ProgramBuilder &B, size_t I, uint8_t BaseReg,
                      uint64_t BaseRegValue, uint8_t ScratchReg) const;
-
-  /// Appends the same load/add/store increment as plain instructions —
-  /// the CFG-path transform splices these into basic blocks directly.
-  void appendIncrement(std::vector<Inst> &Out, size_t I, uint8_t BaseReg,
-                       uint64_t BaseRegValue, uint8_t ScratchReg) const;
 
   /// Reads all counters back from a machine after simulation.
   std::vector<uint64_t> read(const Machine &M) const;

@@ -2,7 +2,6 @@
 
 #include "isa/ProgramBuilder.h"
 
-#include "cfg/Cfg.h"
 #include "isa/Encoding.h"
 
 #include <algorithm>
@@ -50,12 +49,11 @@ size_t ProgramBuilder::emitBrr(FreqCode Freq, LabelId Target) {
   return Index;
 }
 
-void bor::appendLoadConst(std::vector<Inst> &Out, uint8_t Rd,
-                          uint64_t Value) {
+void ProgramBuilder::emitLoadConst(uint8_t Rd, uint64_t Value) {
   // Small signed immediates fit a single li.
   int64_t Signed = static_cast<int64_t>(Value);
   if (Signed >= -32768 && Signed <= 32767) {
-    Out.push_back(Inst::li(Rd, static_cast<int32_t>(Signed)));
+    emit(Inst::li(Rd, static_cast<int32_t>(Signed)));
     return;
   }
   // Build from 15-bit chunks, most significant first, so every ori operand
@@ -66,24 +64,16 @@ void bor::appendLoadConst(std::vector<Inst> &Out, uint8_t Rd,
     if (!Started) {
       if (Chunk == 0)
         continue;
-      Out.push_back(Inst::li(Rd, static_cast<int32_t>(Chunk)));
+      emit(Inst::li(Rd, static_cast<int32_t>(Chunk)));
       Started = true;
       continue;
     }
-    Out.push_back(Inst::alui(Opcode::Slli, Rd, Rd, 15));
+    emit(Inst::alui(Opcode::Slli, Rd, Rd, 15));
     if (Chunk != 0)
-      Out.push_back(
-          Inst::alui(Opcode::Ori, Rd, Rd, static_cast<int32_t>(Chunk)));
+      emit(Inst::alui(Opcode::Ori, Rd, Rd, static_cast<int32_t>(Chunk)));
   }
   if (!Started)
-    Out.push_back(Inst::li(Rd, 0));
-}
-
-void ProgramBuilder::emitLoadConst(uint8_t Rd, uint64_t Value) {
-  std::vector<Inst> Seq;
-  appendLoadConst(Seq, Rd, Value);
-  for (const Inst &I : Seq)
-    emit(I);
+    emit(Inst::li(Rd, 0));
 }
 
 uint64_t ProgramBuilder::allocData(size_t Size, size_t Align) {
@@ -138,31 +128,4 @@ Program ProgramBuilder::finish() {
                 Program::pcForIndex(static_cast<size_t>(LabelPositions[L])));
   }
   return P;
-}
-
-cfg::Module ProgramBuilder::finishModule(std::vector<uint32_t> *LabelBlocks) {
-  // Label positions survive finish() (only code and data move out), so the
-  // label -> block mapping can be derived after the lift.
-  std::vector<int64_t> Positions = LabelPositions;
-  Program P = finish();
-  cfg::Module M = cfg::buildModule(P);
-  if (LabelBlocks) {
-    LabelBlocks->assign(Positions.size(), cfg::NoBlock);
-    for (size_t L = 0; L != Positions.size(); ++L) {
-      int64_t Pos = Positions[L];
-      if (Pos < 0)
-        continue;
-      if (static_cast<size_t>(Pos) < P.numInsts()) {
-        (*LabelBlocks)[L] = M.blockForIndex(static_cast<size_t>(Pos));
-        continue;
-      }
-      // Bound one past the end: the sentinel block, when targets forced
-      // one into existence.
-      for (cfg::BlockId Id = 0; Id != M.numBlocks(); ++Id)
-        if (M.block(Id).OrigIndex == P.numInsts() &&
-            M.block(Id).Insts.empty())
-          (*LabelBlocks)[L] = Id;
-    }
-  }
-  return M;
 }

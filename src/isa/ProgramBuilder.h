@@ -24,10 +24,6 @@
 
 namespace bor {
 
-namespace cfg {
-class Module;
-}
-
 /// Incrementally builds a Program with forward-referencable labels and an
 /// initialized data segment.
 class ProgramBuilder {
@@ -80,14 +76,6 @@ public:
   /// referenced label was bound and every offset fits its encoding field.
   Program finish();
 
-  /// The CFG-emitting path: finishes the program and lifts it into a
-  /// cfg::Module in one step. When \p LabelBlocks is non-null it receives,
-  /// per LabelId, the cfg::BlockId whose head the label binds to
-  /// (0xffffffff for unbound labels) — the handle CFG-path transforms and
-  /// the layout passes use to keep talking about generator-created points
-  /// after linearization is no longer fixed.
-  cfg::Module finishModule(std::vector<uint32_t> *LabelBlocks = nullptr);
-
 private:
   struct Fixup {
     size_t InstIndex;
@@ -102,11 +90,6 @@ private:
   std::vector<std::pair<std::string, uint64_t>> DataSymbols;
   std::vector<std::pair<std::string, LabelId>> LabelSymbols;
 };
-
-/// Appends the li/slli/ori sequence materializing \p Value into \p Rd —
-/// the same instructions ProgramBuilder::emitLoadConst emits, reusable by
-/// CFG-path transforms that splice instructions without a builder.
-void appendLoadConst(std::vector<Inst> &Out, uint8_t Rd, uint64_t Value);
 
 } // namespace bor
 

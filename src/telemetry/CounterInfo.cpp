@@ -41,13 +41,6 @@ const CounterInfo Table[] = {
     {"cfg.emit.programs", "programs emitted from cfg::Module form"},
     {"cfg.emit.relaxed_branches",
      "out-of-range branches relaxed to branch-around-jump"},
-    {"cfg.transform.checks", "sampling checks inserted by the CFG transform"},
-    {"cfg.transform.cloned_blocks",
-     "blocks duplicated for Full-Duplication regions"},
-    {"cfg.transform.sites",
-     "instrumentation sites processed by the CFG transform"},
-    {"cfg.transform.uncommon_blocks",
-     "out-of-line sample blocks created by the CFG transform"},
     {"ckpt.build.checkpoints", "checkpoints captured during library builds"},
     {"ckpt.build.insts", "instructions executed by library build passes"},
     {"ckpt.insts.skipped",

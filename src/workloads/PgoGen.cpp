@@ -2,7 +2,6 @@
 
 #include "workloads/PgoGen.h"
 
-#include "instr/CfgTransform.h"
 #include "instr/Sites.h"
 #include "isa/ProgramBuilder.h"
 #include "workloads/Microbench.h"
@@ -22,22 +21,32 @@ constexpr uint8_t RegLcgMul = 10;  ///< LCG multiplier constant
 
 constexpr uint64_t LcgMultiplier = 6364136223846793005ULL;
 
-} // namespace
-
-PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
-  PgoWorkload W;
-  W.NumSites = 2 * C.Arms + 2 * C.Functions;
-
+/// Emits the workload with \p IC's framework wrapped around each of the
+/// 2*Arms + 2*Functions profile sites. Framework None gives the baseline;
+/// \p SlotPos, when given, receives each site's instruction index. The
+/// emitter is constructed after the profile table and the checksum, so
+/// every variant lays out those two at the same addresses.
+Program emitPgoProgram(const PgoGenConfig &C, const InstrumentationConfig &IC,
+                       PgoWorkload &W, std::vector<size_t> *SlotPos) {
   ProgramBuilder B;
   ProfileTable Table(B, "pgo.profile", W.NumSites);
   W.ProfileBase = Table.baseAddr();
   W.ChecksumAddr = B.allocData(8, 8);
   B.nameData("pgo.checksum", W.ChecksumAddr);
+  SamplingFrameworkEmitter Emitter(B, IC, DefaultDataBase);
 
-  // Per profile slot, the baseline instruction index of the point it
-  // counts. Every one is a block leader (branch target or fall-through of
-  // a conditional branch), so slot counts are block-entry counts.
-  std::vector<size_t> SlotPos(W.NumSites, 0);
+  // Every site is a block leader (branch target or fall-through of a
+  // conditional branch), so slot counts are block-entry counts. A label
+  // bound at a site is bound before its check, so the check guards every
+  // way in.
+  auto Site = [&](size_t Slot) {
+    if (SlotPos)
+      (*SlotPos)[Slot] = B.here();
+    Emitter.emitSite([&Table, Slot](ProgramBuilder &PB) {
+      Table.emitIncrement(PB, Slot, RegProfBase, Table.baseAddr(),
+                          RegScratch);
+    });
+  };
 
   // Prologue (outside the ROI; identical across layout variants because
   // the optimizer pins the entry block first).
@@ -47,7 +56,7 @@ PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
   B.emitLoadConst(RegLcg, C.Seed * 0x9E3779B97F4A7C15ULL + 0x1234567ULL);
   B.emitLoadConst(RegIter, C.Iters);
   B.emit(Inst::li(RegChecksum, 0));
-  const size_t SetupPos = B.here(); // framework setup splices here
+  Emitter.emitSetup();
   B.emit(Inst::marker(MarkerRoiBegin));
 
   auto LoopHead = B.label();
@@ -72,14 +81,14 @@ PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
     auto Join = B.label();
     B.emitBranch(Opcode::Bne, RegT1, RegZero, Hot);
     // Inline cold chunk on the fall-through path.
-    SlotPos[2 * A + 1] = B.here();
+    Site(2 * A + 1);
     for (unsigned I = 0; I != C.ColdChunk; ++I)
       B.emit(Inst::alui(Opcode::Xori, RegChecksum, RegChecksum,
                         static_cast<int32_t>((A * 131 + I * 7 + 3) & 0x7fff)));
     B.emit(Inst::addi(RegChecksum, RegChecksum, 1));
     B.emitJmp(Join);
     B.bind(Hot);
-    SlotPos[2 * A] = B.here();
+    Site(2 * A);
     B.emit(Inst::add(RegChecksum, RegChecksum, RegT1));
     B.emit(Inst::alu(Opcode::Xor, RegChecksum, RegChecksum, RegLcg));
     B.bind(Join);
@@ -100,7 +109,7 @@ PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
   for (unsigned F = 0; F != C.Functions; ++F) {
     B.bind(FnLabels[F]);
     B.nameLabel("pgo.fn" + std::to_string(F), FnLabels[F]);
-    SlotPos[2 * C.Arms + 2 * F] = B.here();
+    Site(2 * C.Arms + 2 * F);
     unsigned Shift = 8 + static_cast<unsigned>((C.Seed * 5 + 13 * F + 19) % 40);
     B.emit(Inst::alui(Opcode::Xori, RegChecksum, RegChecksum,
                       static_cast<int32_t>(0x40 + F)));
@@ -108,7 +117,7 @@ PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
     B.emit(Inst::alui(Opcode::Andi, RegT2, RegT2, 15));
     auto Ret = B.label();
     B.emitBranch(Opcode::Bne, RegT2, RegZero, Ret);
-    SlotPos[2 * C.Arms + 2 * F + 1] = B.here();
+    Site(2 * C.Arms + 2 * F + 1);
     for (unsigned I = 0; I != C.ColdChunk; ++I)
       B.emit(Inst::alui(Opcode::Xori, RegChecksum, RegChecksum,
                         static_cast<int32_t>((F * 257 + I * 11 + 5) & 0x7fff)));
@@ -117,7 +126,20 @@ PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
     B.emit(Inst::ret());
   }
 
-  W.Baseline = B.finish();
+  // The sample blocks of every site go after the last helper (the
+  // Figure 8 placement).
+  Emitter.flushOutOfLine();
+  return B.finish();
+}
+
+} // namespace
+
+PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
+  PgoWorkload W;
+  W.NumSites = 2 * C.Arms + 2 * C.Functions;
+
+  std::vector<size_t> SlotPos(W.NumSites, 0);
+  W.Baseline = emitPgoProgram(C, InstrumentationConfig(), W, &SlotPos);
 
   // Slot -> block map, valid for every buildModule(Baseline) lift (block
   // ids are a deterministic function of the program).
@@ -126,31 +148,11 @@ PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
   for (size_t S = 0; S != W.NumSites; ++S)
     W.SiteBlocks[S] = M.blockForIndex(SlotPos[S]);
 
-  // The profiling variant: same instruction stream, lifted again, with the
-  // sampling framework and one counter increment per site spliced in.
+  // The profiling variant: the same program with the sampling framework
+  // and one counter increment around each site.
   InstrumentationConfig IC = C.Instr;
   IC.Dup = DuplicationMode::NoDuplication;
   IC.IncludeBody = true;
-  cfg::Module MI = cfg::buildModule(W.Baseline);
-  CfgSamplingTransform T(MI, IC, DefaultDataBase);
-  std::vector<Inst> Setup = T.setupInsts();
-  if (!Setup.empty()) {
-    cfg::BlockId Entry = MI.blockForIndex(SetupPos);
-    MI.insertInsts(Entry, static_cast<uint32_t>(
-                              SetupPos - MI.block(Entry).OrigIndex),
-                   Setup);
-  }
-  std::vector<CfgSite> Sites;
-  for (size_t S = 0; S != W.NumSites; ++S) {
-    std::vector<Inst> Body;
-    Table.appendIncrement(Body, S, RegProfBase, Table.baseAddr(), RegScratch);
-    cfg::BlockId Blk = MI.blockForIndex(SlotPos[S]);
-    Sites.push_back({Blk,
-                     static_cast<uint32_t>(SlotPos[S] -
-                                           MI.block(Blk).OrigIndex),
-                     std::move(Body)});
-  }
-  T.instrumentSites(std::move(Sites));
-  W.Instrumented = cfg::emitProgram(MI);
+  W.Instrumented = emitPgoProgram(C, IC, W, nullptr);
   return W;
 }

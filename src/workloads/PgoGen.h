@@ -11,9 +11,10 @@
 /// an inline cold chunk, and every helper function carries its cold tail
 /// inline — exactly the shape the layout optimizer exists to fix. The
 /// generator also produces an instrumented profiling variant (the same
-/// program with a sampling framework and per-block profile counters
-/// spliced in via the CFG-path transform) and the site-to-block map the
-/// optimizer needs to consume the collected counts.
+/// program emitted again with a sampling framework and a profile counter
+/// around each site, through the SamplingFrameworkEmitter every workload
+/// uses) and the site-to-block map the optimizer needs to consume the
+/// collected counts.
 ///
 /// Hot/cold decisions come from a register-resident LCG, so control flow
 /// is deterministic per seed, identical across layout variants, and
@@ -56,9 +57,10 @@ struct PgoWorkload {
   uint64_t ChecksumAddr = 0; ///< data address of the self-check checksum
 };
 
-/// Builds the baseline once, lifts it, and derives the instrumented
-/// variant and site map from the same instruction stream. Deterministic
-/// for a given config.
+/// Emits the program twice from one generator: with no framework (the
+/// baseline, lifted once for the site map) and with C.Instr's framework
+/// around every site (the profiling variant). Deterministic for a given
+/// config.
 PgoWorkload buildPgoWorkload(const PgoGenConfig &C);
 
 } // namespace bor
