@@ -2,6 +2,7 @@
 
 #include "ckpt/LibraryPool.h"
 
+#include "isa/Encoding.h"
 #include "isa/Serialize.h"
 #include "support/Path.h"
 #include "telemetry/Counters.h"
@@ -16,19 +17,34 @@ using namespace bor::ckpt;
 
 namespace {
 
-/// LibraryPool::keyFor, given the program already serialized.
-uint64_t keyForBytes(const std::vector<uint8_t> &ProgramBytes,
-                     const BrrUnitConfig &Brr, uint64_t PeriodInsts) {
+/// True when \p A and \p B serialize to the same bytes. Compares every
+/// field serialization writes (instruction encodings, data base, data and
+/// symbols) in place, so no serialized image is built.
+bool sameImage(const Program &A, const Program &B) {
+  if (A.numInsts() != B.numInsts() || A.dataBase() != B.dataBase() ||
+      A.data() != B.data() || A.symbols() != B.symbols())
+    return false;
+  for (size_t I = 0; I != A.numInsts(); ++I)
+    if (encode(A.at(I)) != encode(B.at(I)))
+      return false;
+  return true;
+}
+
+} // namespace
+
+uint64_t LibraryPool::keyFor(const Program &P, const BrrUnitConfig &Brr,
+                             uint64_t PeriodInsts) {
   // FNV-1a over the serialized program, then the decider configuration and
   // the period folded in word-wise. Purely content-derived, so the same
-  // workload maps to the same cache file across processes.
+  // workload maps to the same cache file across processes. The serialized
+  // image lives only as long as the loop that hashes it.
   uint64_t H = 0xcbf29ce484222325ULL;
   auto foldByte = [&H](uint8_t B) { H = (H ^ B) * 0x100000001b3ULL; };
   auto foldU64 = [&](uint64_t V) {
     for (int I = 0; I != 8; ++I)
       foldByte(static_cast<uint8_t>(V >> (8 * I)));
   };
-  for (uint8_t B : ProgramBytes)
+  for (uint8_t B : serializeProgram(P))
     foldByte(B);
   foldU64(Brr.LfsrWidth);
   foldU64(Brr.TapMask);
@@ -36,13 +52,6 @@ uint64_t keyForBytes(const std::vector<uint8_t> &ProgramBytes,
   foldU64(static_cast<uint64_t>(Brr.Policy));
   foldU64(PeriodInsts);
   return H;
-}
-
-} // namespace
-
-uint64_t LibraryPool::keyFor(const Program &P, const BrrUnitConfig &Brr,
-                             uint64_t PeriodInsts) {
-  return keyForBytes(serializeProgram(P), Brr, PeriodInsts);
 }
 
 std::string LibraryPool::cachePathFor(uint64_t Key) const {
@@ -60,8 +69,7 @@ LibraryPool::getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
                         uint64_t PeriodInsts,
                         const telemetry::TelemetrySink *Telemetry,
                         uint64_t MaxInsts) {
-  const std::vector<uint8_t> ProgramBytes = serializeProgram(DP.program());
-  const uint64_t Key = keyForBytes(ProgramBytes, Brr, PeriodInsts);
+  const uint64_t Key = keyFor(DP.program(), Brr, PeriodInsts);
   return Libraries.getOrBuild(Key, [&] {
     const std::string Path = cachePathFor(Key);
     if (!Path.empty()) {
@@ -71,7 +79,7 @@ LibraryPool::getOrBuild(const DecodedProgram &DP, const BrrUnitConfig &Brr,
       CheckpointLibrary Lib;
       std::string Error;
       if (Exists && loadLibraryFile(Path, Cached, Lib, Error)) {
-        if (serializeProgram(Cached) != ProgramBytes)
+        if (!sameImage(Cached, DP.program()))
           Error = "it holds a different program";
         else if (Lib.periodInsts() != PeriodInsts ||
                  Lib.deciderKind() != "lfsr" ||
