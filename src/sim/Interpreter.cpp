@@ -70,7 +70,14 @@ Interpreter::~Interpreter() {
   BlockBlocks.add(ChainedBlocks);
 }
 
-ExecRecord Interpreter::step() {
+// step() and runChained() are the engine's two hot loops: the timing
+// model's oracle and fast-forward. Each starts on a 64-byte boundary so its
+// speed does not depend on how much code the linker places before it. Their
+// code unchanged, deleting unrelated library code moved step() from offset
+// 48 to 16 in a cache line and runChained() from 0 to 32, and perfbench
+// lost ~6% of fig13_full's and ~10% of fig13_sampled's cpu_s (0/5 pairs
+// won each, 4-vCPU Xeon); aligned, both read flat.
+__attribute__((aligned(64))) ExecRecord Interpreter::step() {
   assert(!Mach.halted() && "stepping a halted machine");
 
   ExecRecord R;
@@ -236,8 +243,8 @@ ExecRecord Interpreter::step() {
 /// target that cannot be chained, or the PC leaving the image). Hot
 /// statistics accumulate in locals and fold into Stats at the same
 /// points, so the per-instruction work is the handler body plus one
-/// indirect jump.
-void Interpreter::runChained(uint64_t MaxSteps) {
+/// indirect jump. Cache-line aligned, as step() is (see there).
+__attribute__((aligned(64))) void Interpreter::runChained(uint64_t MaxSteps) {
   static_assert(NumOpcodes == 33, "dispatch table must cover every opcode");
 
   const DecodedInst *const IBase = Dec.insts();
