@@ -54,7 +54,8 @@ struct JitRunResult {
 
 JitRunResult run(const AppConfig &C) {
   AppProgram App = buildApp(C);
-  Pipeline Pipe(App.Prog, PipelineConfig());
+  const DecodedProgram Dec(App.Prog);
+  Pipeline Pipe(Dec, PipelineConfig());
   bor::RunResult Timed = Pipe.run(1ULL << 40);
   JitRunResult R;
   R.RoiCycles = Timed.roiCycles();

@@ -125,7 +125,8 @@ struct GilResult {
 
 GilResult run(GilStrategy Strategy) {
   GilProgram GP = buildInterpreter(Strategy);
-  Pipeline Pipe(GP.Prog, PipelineConfig());
+  const DecodedProgram Dec(GP.Prog);
+  Pipeline Pipe(Dec, PipelineConfig());
   RunResult Timed = Pipe.run(1ULL << 40);
   GilResult R;
   R.RoiCycles = Timed.roiCycles();

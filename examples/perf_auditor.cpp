@@ -98,7 +98,8 @@ struct Result {
 
 Result run(Variant V) {
   Program P = build(V);
-  Pipeline Pipe(P, PipelineConfig());
+  const DecodedProgram Dec(P);
+  Pipeline Pipe(Dec, PipelineConfig());
   RunResult Timed = Pipe.run(1ULL << 40);
   Result R;
   R.RoiCycles = Timed.roiCycles();

@@ -60,9 +60,12 @@ int main() {
   std::printf("the sampled loop:\n%s\n", disassemble(P).c_str());
 
   // --- 3. Functional run. ------------------------------------------------
+  // Every engine runs a decoded image of the program; decode it once and
+  // hand the same image to each engine that runs the program.
+  const DecodedProgram Dec(P);
   BrrUnitDecider Decider;
   Machine M;
-  Interpreter Interp(P, M, Decider);
+  Interpreter Interp(Dec, M, Decider);
   RunStats Stats = Interp.run(1ULL << 24);
   std::printf("functional: %llu insts, %llu brr executed, %llu taken, "
               "samples collected = %llu (expect ~%u)\n",
@@ -74,7 +77,7 @@ int main() {
               100000 / 16);
 
   // --- 4. Timed run on the Section 5.1 machine. ---------------------------
-  Pipeline Pipe(P, PipelineConfig());
+  Pipeline Pipe(Dec, PipelineConfig());
   PipelineStats TS = Pipe.run(1ULL << 40).Stats;
   std::printf("timing: %llu cycles, IPC %.2f, %llu front-end flushes from "
               "taken brrs\n",

@@ -92,7 +92,8 @@ uint64_t loopCycles(int Mode /*0=no inst, 1=full, 2=brr-sampled*/) {
   }
 
   Program P = B.finish();
-  Pipeline Pipe(P, PipelineConfig());
+  const DecodedProgram Dec(P);
+  Pipeline Pipe(Dec, PipelineConfig());
   return Pipe.run(1ULL << 40).roiCycles();
 }
 

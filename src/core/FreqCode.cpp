@@ -17,17 +17,3 @@ FreqCode FreqCode::forInterval(uint64_t Interval) {
   unsigned Log = std::countr_zero(Interval);
   return FreqCode(Log - 1);
 }
-
-FreqCode FreqCode::nearest(double P) {
-  if (P >= 0.5)
-    return FreqCode(0);
-  if (P <= std::ldexp(1.0, -16))
-    return FreqCode(15);
-  double Log = -std::log2(P);
-  int Raw = static_cast<int>(std::lround(Log)) - 1;
-  if (Raw < 0)
-    Raw = 0;
-  if (Raw > 15)
-    Raw = 15;
-  return FreqCode(static_cast<unsigned>(Raw));
-}

@@ -48,10 +48,6 @@ public:
   /// power of two in [2, 65536].
   static FreqCode forInterval(uint64_t Interval);
 
-  /// The encodable frequency closest to \p P (in log space); \p P is clamped
-  /// to the representable range (1/2 .. 1/65536].
-  static FreqCode nearest(double P);
-
   friend bool operator==(FreqCode A, FreqCode B) { return A.Raw == B.Raw; }
   friend bool operator!=(FreqCode A, FreqCode B) { return !(A == B); }
 

@@ -51,9 +51,9 @@ constexpr size_t PgoSeeds = 5;
 constexpr uint64_t PgoInterval = 64;
 constexpr uint64_t PgoMaxSteps = 1ULL << 28;
 
-/// Detailed-pipeline ROI cycles of \p P (asserts the ROI markers ran).
-uint64_t pipelineRoiCycles(const Program &P) {
-  DecodedProgram Dec(P);
+/// Detailed-pipeline ROI cycles of \p Dec's program (0 unless both ROI
+/// markers ran).
+uint64_t pipelineRoiCycles(const DecodedProgram &Dec) {
   Pipeline Pipe(Dec, PipelineConfig());
   RunResult R = Pipe.run(1ULL << 40);
   return R.Markers.size() == 2 ? R.roiCycles() : 0;
@@ -67,10 +67,10 @@ struct FuncRef {
   bool Halted = false;
 };
 
-FuncRef funcRun(const Program &P, uint64_t ChecksumAddr) {
+FuncRef funcRun(const DecodedProgram &Dec, uint64_t ChecksumAddr) {
   Machine Mach;
   BrrUnitDecider D;
-  Interpreter I(P, Mach, D);
+  Interpreter I(Dec, Mach, D);
   RunStats S = I.run(PgoMaxSteps);
   FuncRef R;
   R.Checksum = Mach.memory().readU64(ChecksumAddr);
@@ -91,27 +91,31 @@ RunRecord runPgoCell(const std::string &Source, uint64_t Seed,
     C.Instr.Framework = SamplingFramework::CounterBased;
   PgoWorkload W = buildPgoWorkload(C);
 
-  uint64_t BaseCycles = pipelineRoiCycles(W.Baseline);
-  FuncRef BaseRef = funcRun(W.Baseline, W.ChecksumAddr);
+  // Each program the cell runs (baseline, instrumented, optimized) is
+  // decoded once and shared by its pipeline and functional runs.
+  const DecodedProgram BaseDec(W.Baseline);
+  uint64_t BaseCycles = pipelineRoiCycles(BaseDec);
+  FuncRef BaseRef = funcRun(BaseDec, W.ChecksumAddr);
 
   opt::ProfileMap Prof;
   double ProfileOverheadPct = 0;
   uint64_t ProfileInsts = 0;
   if (Source == "oracle") {
     BrrUnitDecider D;
-    Prof = opt::collectOracleProfile(W.Baseline, D, PgoMaxSteps);
+    Prof = opt::collectOracleProfile(BaseDec, D, PgoMaxSteps);
     ProfileInsts = BaseRef.Insts; // the oracle traces the full run
   } else if (Source == "brr" || Source == "cbs") {
+    const DecodedProgram InstrDec(W.Instrumented);
     Machine Mach;
     BrrUnitDecider D;
-    Interpreter I(W.Instrumented, Mach, D);
+    Interpreter I(InstrDec, Mach, D);
     RunStats S = I.run(PgoMaxSteps);
     ProfileInsts = S.Insts;
     std::vector<uint64_t> Counts(W.NumSites);
     for (size_t SI = 0; SI != W.NumSites; ++SI)
       Counts[SI] = Mach.memory().readU64(W.ProfileBase + 8 * SI);
     Prof = opt::profileFromSites(Counts, W.SiteBlocks);
-    uint64_t InstrCycles = pipelineRoiCycles(W.Instrumented);
+    uint64_t InstrCycles = pipelineRoiCycles(InstrDec);
     ProfileOverheadPct = BaseCycles
                              ? 100.0 * (static_cast<double>(InstrCycles) -
                                         static_cast<double>(BaseCycles)) /
@@ -125,9 +129,10 @@ RunRecord runPgoCell(const std::string &Source, uint64_t Seed,
   EO.ElideJumpToNext = true;
   cfg::EmitStats ES;
   Program Opt = cfg::emitProgram(M, EO, &ES);
+  const DecodedProgram OptDec(Opt);
 
-  uint64_t OptCycles = pipelineRoiCycles(Opt);
-  FuncRef OptRef = funcRun(Opt, W.ChecksumAddr);
+  uint64_t OptCycles = pipelineRoiCycles(OptDec);
+  FuncRef OptRef = funcRun(OptDec, W.ChecksumAddr);
   // Dynamic instruction counts differ legitimately (relinearization
   // inserts and elides unconditional jumps); the checksum is the
   // layout-invariant part of the execution.

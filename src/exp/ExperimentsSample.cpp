@@ -39,32 +39,6 @@ namespace {
 /// small systematic bias remains that no amount of sampling averages away.
 constexpr double BiasMargin = 0.025;
 
-struct SampleArm {
-  const char *Name;
-  SamplingFramework F;
-  DuplicationMode Dup;
-  bool Body;
-};
-
-constexpr SampleArm SampleArms[] = {
-    {"cbs+inst (no-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::NoDuplication, true},
-    {"cbs (no-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::NoDuplication, false},
-    {"cbs+inst (full-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::FullDuplication, true},
-    {"cbs (full-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::FullDuplication, false},
-    {"brr+inst (no-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::NoDuplication, true},
-    {"brr (no-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::NoDuplication, false},
-    {"brr+inst (full-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::FullDuplication, true},
-    {"brr (full-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::FullDuplication, false},
-};
-
 constexpr uint64_t SampleIntervals[] = {16, 1024};
 
 double nowMs() {
@@ -181,7 +155,7 @@ RunRecord agreementRecord(const std::string &Series,
 }
 
 ExperimentSpec makeSampleError(const ExperimentOptions &O) {
-  const size_t Chars = std::max<size_t>(FigureChars / O.Scale, 2000);
+  const size_t Chars = scaledChars(O);
   const uint64_t Scale = O.Scale;
   // Validation always compares against the sampled mode bor-bench would
   // use: the user's --sample-* plan if given, else the defaults.
@@ -206,7 +180,7 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
     *Base = compareRuns(InstrumentationConfig(), Chars, Plan);
   };
 
-  for (const SampleArm &A : SampleArms)
+  for (const MicroArm &A : Fig13Arms)
     for (uint64_t Interval : SampleIntervals)
       S.Cells.push_back(
           {{"series", A.Name}, {"interval", std::to_string(Interval)}});
@@ -216,7 +190,7 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
   constexpr size_t NumIntervals =
       sizeof(SampleIntervals) / sizeof(SampleIntervals[0]);
   constexpr size_t NumMicroCells =
-      sizeof(SampleArms) / sizeof(SampleArms[0]) * NumIntervals;
+      sizeof(Fig13Arms) / sizeof(Fig13Arms[0]) * NumIntervals;
   S.Cells.push_back({{"series", "app brr (full-dup)"}, {"interval", "1024"}});
 
   S.Run = [Base, Chars, Plan, Scale](const ParamSet &, size_t Index) {
@@ -231,14 +205,10 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
       Cmp.SampledMs += AppBase.SampledMs;
       return agreementRecord("app brr (full-dup)", "1024", Cmp, AppBase);
     }
-    const SampleArm &A = SampleArms[Index / NumIntervals];
+    const MicroArm &A = Fig13Arms[Index / NumIntervals];
     uint64_t Interval = SampleIntervals[Index % NumIntervals];
-    InstrumentationConfig Instr;
-    Instr.Framework = A.F;
-    Instr.Dup = A.Dup;
-    Instr.Interval = Interval;
-    Instr.IncludeBody = A.Body;
-    Comparison Cmp = compareRuns(Instr, Chars, Plan);
+    Comparison Cmp = compareRuns(microConfig(A.F, A.Dup, Interval, A.Body),
+                                 Chars, Plan);
     return agreementRecord(A.Name, std::to_string(Interval), Cmp, *Base);
   };
 

@@ -20,6 +20,7 @@
 #include "exp/Experiment.h"
 #include "exp/Experiments.h"
 #include "exp/Harness.h"
+#include "support/Stats.h"
 #include "workloads/AppGen.h"
 #include "workloads/Kernels.h"
 
@@ -35,11 +36,6 @@ void registerSampleExperiments();   // ExperimentsSample.cpp
 void registerPgoExperiments();      // ExperimentsPgo.cpp
 
 namespace {
-
-size_t scaledChars(const ExperimentOptions &O) {
-  size_t Chars = FigureChars / O.Scale;
-  return Chars < 2000 ? 2000 : Chars;
-}
 
 double overheadPct(uint64_t Cycles, uint64_t Base) {
   return 100.0 * (static_cast<double>(Cycles) - static_cast<double>(Base)) /
@@ -72,32 +68,6 @@ void addPipelineMetrics(RunRecord &R, const MicroRun &Run) {
 //===----------------------------------------------------------------------===//
 // Figure 13: overhead vs sampling interval, eight framework arms.
 //===----------------------------------------------------------------------===//
-
-struct MicroArm {
-  const char *Name;
-  SamplingFramework F;
-  DuplicationMode Dup;
-  bool Body;
-};
-
-constexpr MicroArm Fig13Arms[] = {
-    {"cbs+inst (no-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::NoDuplication, true},
-    {"cbs (no-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::NoDuplication, false},
-    {"cbs+inst (full-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::FullDuplication, true},
-    {"cbs (full-dup)", SamplingFramework::CounterBased,
-     DuplicationMode::FullDuplication, false},
-    {"brr+inst (no-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::NoDuplication, true},
-    {"brr (no-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::NoDuplication, false},
-    {"brr+inst (full-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::FullDuplication, true},
-    {"brr (full-dup)", SamplingFramework::BrrBased,
-     DuplicationMode::FullDuplication, false},
-};
 
 ExperimentSpec makeFig13(const ExperimentOptions &O) {
   const size_t Chars = scaledChars(O);
@@ -554,10 +524,6 @@ ExperimentSpec makeAblation(const ExperimentOptions &O) {
 // Section 5.3: the microbenchmark's baseline characterization.
 //===----------------------------------------------------------------------===//
 
-double percentOf(uint64_t Part, uint64_t Whole) {
-  return 100.0 * static_cast<double>(Part) / static_cast<double>(Whole);
-}
-
 ExperimentSpec makeMicroBaseline(const ExperimentOptions &O) {
   const size_t Chars = scaledChars(O);
   ExperimentSpec S;
@@ -574,7 +540,8 @@ ExperimentSpec makeMicroBaseline(const ExperimentOptions &O) {
     MicrobenchConfig C;
     C.Text.NumChars = Chars;
     MicrobenchProgram MB = buildMicrobench(C);
-    Pipeline Pipe(MB.Prog, PipelineConfig());
+    const DecodedProgram Dec(MB.Prog);
+    Pipeline Pipe(Dec, PipelineConfig());
     Pipe.setTelemetry(O.Telemetry);
     PipelineStats St = Pipe.run(1ULL << 40).Stats;
     const PredictorStats &Pred = Pipe.predictor().stats();
@@ -584,15 +551,18 @@ ExperimentSpec makeMicroBaseline(const ExperimentOptions &O) {
     R.metric("cycles", St.Cycles);
     R.metric("ipc", St.ipc(), 2);
     R.metric("pred_accuracy_pct",
-             100.0 - percentOf(Pred.Mispredictions, Pred.Predictions), 1);
+             100.0 - percent(static_cast<double>(Pred.Mispredictions),
+                             static_cast<double>(Pred.Predictions)),
+             1);
     R.metric("l1i_hit_pct", 100.0 * Pipe.memHier().l1i().stats().hitRate(),
              2);
     R.metric("l1d_hit_pct", 100.0 * Pipe.memHier().l1d().stats().hitRate(),
              2);
+    const double Cycles = static_cast<double>(St.Cycles);
     R.metric("full_width_fetch_pct",
-             percentOf(St.FullWidthFetchCycles, St.Cycles), 1);
-    R.metric("backend_flush_pct", percentOf(St.BackendFlushCycles, St.Cycles),
-             1);
+             percent(static_cast<double>(St.FullWidthFetchCycles), Cycles), 1);
+    R.metric("backend_flush_pct",
+             percent(static_cast<double>(St.BackendFlushCycles), Cycles), 1);
     return R;
   };
   return S;
@@ -620,7 +590,8 @@ MispredictSplit measureSplit(const InstrumentationConfig &Instr,
   MicrobenchProgram MB = buildMicrobench(C);
   std::unordered_set<uint64_t> Checks(MB.CheckBranchPcs.begin(),
                                       MB.CheckBranchPcs.end());
-  Pipeline Pipe(MB.Prog, Machine);
+  const DecodedProgram Dec(MB.Prog);
+  Pipeline Pipe(Dec, Machine);
   Pipe.setTelemetry(O.Telemetry);
   MispredictSplit Split;
   Pipe.setObserver([&](const InstTimestamps &TS) {

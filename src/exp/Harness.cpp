@@ -159,6 +159,11 @@ InstrumentationConfig microConfig(SamplingFramework F, DuplicationMode Dup,
   return C;
 }
 
+size_t scaledChars(const ExperimentOptions &O) {
+  size_t Chars = FigureChars / O.Scale;
+  return Chars < 2000 ? 2000 : Chars;
+}
+
 std::vector<uint64_t> figureIntervals() {
   return {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
 }

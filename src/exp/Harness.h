@@ -81,6 +81,36 @@ MicroRun runMicrobench(const InstrumentationConfig &Instr, size_t NumChars,
 InstrumentationConfig microConfig(SamplingFramework F, DuplicationMode Dup,
                                   uint64_t Interval, bool IncludeBody);
 
+/// One Figure 13 framework arm: the sampling framework, its duplication
+/// mode, and whether the instrumentation bodies run.
+struct MicroArm {
+  const char *Name;
+  SamplingFramework F;
+  DuplicationMode Dup;
+  bool Body;
+};
+
+/// The eight Figure 13 arms in the figure's order. fig13 sweeps them over
+/// figureIntervals(); sample_error validates the sampler on the same arms.
+inline constexpr MicroArm Fig13Arms[] = {
+    {"cbs+inst (no-dup)", SamplingFramework::CounterBased,
+     DuplicationMode::NoDuplication, true},
+    {"cbs (no-dup)", SamplingFramework::CounterBased,
+     DuplicationMode::NoDuplication, false},
+    {"cbs+inst (full-dup)", SamplingFramework::CounterBased,
+     DuplicationMode::FullDuplication, true},
+    {"cbs (full-dup)", SamplingFramework::CounterBased,
+     DuplicationMode::FullDuplication, false},
+    {"brr+inst (no-dup)", SamplingFramework::BrrBased,
+     DuplicationMode::NoDuplication, true},
+    {"brr (no-dup)", SamplingFramework::BrrBased,
+     DuplicationMode::NoDuplication, false},
+    {"brr+inst (full-dup)", SamplingFramework::BrrBased,
+     DuplicationMode::FullDuplication, true},
+    {"brr (full-dup)", SamplingFramework::BrrBased,
+     DuplicationMode::FullDuplication, false},
+};
+
 /// One sampled execution of \p Dec under \p O.Plan (\p O.Sample must be
 /// set): plain runSampled, or — when \p O.CkptPool is set — a resume of
 /// every fast-forward span from the pool's shared COW checkpoint library
@@ -93,6 +123,10 @@ SampledResult runSampledMaybeLibrary(const DecodedProgram &Dec,
 /// The character count used by the timing figures. The paper processes
 /// half a million characters; that is also affordable here.
 constexpr size_t FigureChars = 500000;
+
+/// The microbenchmark length at \p O.Scale: FigureChars / Scale, but at
+/// least 2,000 characters.
+size_t scaledChars(const ExperimentOptions &O);
 
 /// The sampling-interval sweep of Figures 13/14.
 std::vector<uint64_t> figureIntervals();

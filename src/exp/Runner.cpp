@@ -140,24 +140,43 @@ RunRecord makeTimeoutRecord(const ExperimentSpec &Spec, size_t Index) {
   return R;
 }
 
+/// One cell's body, on whichever thread runs it: tags any sampled run
+/// inside the cell for the time-series sink, then runs the cell. The cell
+/// index (not the worker thread) keys the series, which is what keeps
+/// timeseries.json thread-count-invariant.
+RunRecord
+runCellBody(const std::string &Experiment,
+            const std::function<RunRecord(const ParamSet &, size_t)> &Run,
+            const ParamSet &Cell, size_t I) {
+  telemetry::TimeSeries::Scope Tag(Experiment, static_cast<int64_t>(I));
+  return Run(Cell, I);
+}
+
 /// Runs every cell of \p Spec on \p Threads workers, filling \p Results in
 /// spec order, and returns how many cells overran \p CellTimeoutS (when
-/// positive; see RunnerHooks::CellTimeoutS). \p RunCell is the
-/// observability-wrapped cell body used when there is no timeout.
+/// positive; see RunnerHooks::CellTimeoutS). Each cell gets a "cell" span
+/// in \p TW, opened on the worker; a timed-out cell's span closes when the
+/// worker gives up on it.
 size_t runCells(const ExperimentSpec &Spec, unsigned Threads,
-                double CellTimeoutS,
-                const std::function<RunRecord(size_t)> &RunCell,
+                double CellTimeoutS, telemetry::TraceWriter *TW,
                 Heartbeat &HB, std::vector<RunRecord> &Results) {
   std::atomic<size_t> TimedOut{0};
   auto RunOne = [&](size_t I) {
+    telemetry::TraceSpan Span(
+        TW, "cell", "experiment",
+        {telemetry::TraceArg::str("experiment", Spec.Name),
+         telemetry::TraceArg::num("index", static_cast<uint64_t>(I))});
     if (CellTimeoutS <= 0) {
-      Results[I] = RunCell(I);
+      Results[I] = runCellBody(Spec.Name, Spec.Run, Spec.Cells[I], I);
     } else {
-      // Abandon-safe closure: copies of the run functor (whose captures
-      // are shared_ptr-owned) and the cell's parameters, so a timed-out
-      // thread never dangles into the runner's stack frame.
-      std::function<RunRecord()> Timed =
-          [Run = Spec.Run, Cell = Spec.Cells[I], I]() { return Run(Cell, I); };
+      // Abandon-safe closure: copies of the experiment name, the run
+      // functor (whose captures are shared_ptr-owned) and the cell's
+      // parameters, so a timed-out thread never dangles into the runner's
+      // stack frame.
+      std::function<RunRecord()> Timed = [Name = Spec.Name, Run = Spec.Run,
+                                          Cell = Spec.Cells[I], I]() {
+        return runCellBody(Name, Run, Cell, I);
+      };
       if (!runAbandonable(std::move(Timed), CellTimeoutS, Results[I])) {
         Results[I] = makeTimeoutRecord(Spec, I);
         TimedOut.fetch_add(1, std::memory_order_relaxed);
@@ -167,6 +186,7 @@ size_t runCells(const ExperimentSpec &Spec, unsigned Threads,
         }
       }
     }
+    Span.close();
     HB.cellDone();
   };
 
@@ -213,24 +233,10 @@ GridResult runExperiment(const ExperimentSpec &Spec, unsigned Threads,
   }
 
   Heartbeat HB(Hooks.Progress, Spec.Name, Spec.Cells.size());
-  auto RunCell = [&Spec, TW](size_t I) {
-    telemetry::TraceSpan Span(
-        TW, "cell", "experiment",
-        {telemetry::TraceArg::str("experiment", Spec.Name),
-         telemetry::TraceArg::num("index", static_cast<uint64_t>(I))});
-    // Tag any sampled run inside this cell for the time-series sink; the
-    // cell index (not the worker thread) keys the series, which is what
-    // keeps timeseries.json thread-count-invariant.
-    telemetry::TimeSeries::Scope Tag(Spec.Name, static_cast<int64_t>(I));
-    RunRecord R = Spec.Run(Spec.Cells[I], I);
-    Span.close();
-    return R;
-  };
-
   GridResult Out;
   Out.Records.resize(Spec.Cells.size());
-  Out.CellsTimedOut = runCells(Spec, Threads, Hooks.CellTimeoutS, RunCell,
-                               HB, Out.Records);
+  Out.CellsTimedOut =
+      runCells(Spec, Threads, Hooks.CellTimeoutS, TW, HB, Out.Records);
 
   // A summary over an incomplete grid would average holes into lies;
   // partial runs ship the per-cell truth (markers included) and nothing

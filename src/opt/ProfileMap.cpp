@@ -116,11 +116,12 @@ bool ProfileMap::fromJson(const std::string &Text, ProfileMap &Out,
   return true;
 }
 
-ProfileMap opt::collectOracleProfile(const Program &P, BrrDecider &D,
+ProfileMap opt::collectOracleProfile(const DecodedProgram &DP, BrrDecider &D,
                                      uint64_t MaxSteps) {
+  const Program &P = DP.program();
   cfg::Module M = cfg::buildModule(P);
   Machine Mach;
-  Interpreter I(P, Mach, D);
+  Interpreter I(DP, Mach, D);
   ProfileMap Prof;
   uint64_t Steps = 0;
   while (!I.halted() && Steps != MaxSteps) {

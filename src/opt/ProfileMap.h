@@ -30,6 +30,7 @@
 #define BOR_OPT_PROFILEMAP_H
 
 #include "cfg/Cfg.h"
+#include "sim/Decode.h"
 #include "sim/Machine.h"
 
 #include <map>
@@ -85,11 +86,11 @@ private:
   bool Complete = false;
 };
 
-/// Exact profile: steps \p P to completion (at most \p MaxSteps
-/// instructions) under \p D and counts every block entry and every
-/// conditional-branch taken outcome, keyed to buildModule(P)'s block ids.
-/// Publishes opt.profile.* counters.
-ProfileMap collectOracleProfile(const Program &P, BrrDecider &D,
+/// Exact profile: steps \p DP's program to completion (at most
+/// \p MaxSteps instructions) under \p D and counts every block entry and
+/// every conditional-branch taken outcome, keyed to buildModule's block
+/// ids for that program. Publishes opt.profile.* counters.
+ProfileMap collectOracleProfile(const DecodedProgram &DP, BrrDecider &D,
                                 uint64_t MaxSteps);
 
 /// Sampled profile: \p SiteCounts[i] is the sampled count of site i (a

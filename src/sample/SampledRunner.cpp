@@ -133,7 +133,6 @@ SampledResult runSampledLoop(const DecodedProgram &DP, Machine &M,
                              const SamplingPlan &Plan,
                              const PipelineConfig &Config,
                              BrrDecider &Decider, uint64_t MaxInsts,
-                             uint64_t StartInsts,
                              const telemetry::TelemetrySink *Telemetry,
                              const ckpt::CheckpointLibrary *Lib,
                              LibraryRunStats *LS) {
@@ -160,7 +159,7 @@ SampledResult runSampledLoop(const DecodedProgram &DP, Machine &M,
   MicroarchState Uarch(Config);
   FunctionalWarmer Warmer(Uarch, Config);
 
-  uint64_t Global = StartInsts; // committed instructions, all phases
+  uint64_t Global = 0; // committed instructions, all phases
   uint64_t Budget = MaxInsts;
 
   // Markers in the functional phases arrive through the interpreter's
@@ -316,10 +315,9 @@ SampledResult bor::runSampled(const DecodedProgram &DP, Machine &M,
                               const SamplingPlan &Plan,
                               const PipelineConfig &Config,
                               BrrDecider &Decider, uint64_t MaxInsts,
-                              uint64_t StartInsts,
                               const telemetry::TelemetrySink *Telemetry) {
-  return runSampledLoop(DP, M, Plan, Config, Decider, MaxInsts, StartInsts,
-                        Telemetry, /*Lib=*/nullptr, /*LS=*/nullptr);
+  return runSampledLoop(DP, M, Plan, Config, Decider, MaxInsts, Telemetry,
+                        /*Lib=*/nullptr, /*LS=*/nullptr);
 }
 
 SampledResult bor::runSampled(const DecodedProgram &DP,
@@ -334,27 +332,7 @@ SampledResult bor::runSampled(const DecodedProgram &DP,
     Owned = std::make_unique<BrrUnitDecider>(Config.Brr);
     Decider = Owned.get();
   }
-  return runSampled(DP, M, Plan, Config, *Decider, MaxInsts,
-                    /*StartInsts=*/0, Telemetry);
-}
-
-SampledResult bor::runSampled(const Program &P, const SamplingPlan &Plan,
-                              const PipelineConfig &Config,
-                              BrrDecider *Decider, uint64_t MaxInsts,
-                              const telemetry::TelemetrySink *Telemetry) {
-  DecodedProgram DP(P);
-  return runSampled(DP, Plan, Config, Decider, MaxInsts, Telemetry);
-}
-
-SampledResult bor::runSampled(const Program &P, Machine &M,
-                              const SamplingPlan &Plan,
-                              const PipelineConfig &Config,
-                              BrrDecider &Decider, uint64_t MaxInsts,
-                              uint64_t StartInsts,
-                              const telemetry::TelemetrySink *Telemetry) {
-  DecodedProgram DP(P);
-  return runSampled(DP, M, Plan, Config, Decider, MaxInsts, StartInsts,
-                    Telemetry);
+  return runSampled(DP, M, Plan, Config, *Decider, MaxInsts, Telemetry);
 }
 
 SampledResult bor::runSampledFromLibrary(
@@ -375,8 +353,8 @@ SampledResult bor::runSampledFromLibrary(
 
   LibraryRunStats LS;
   SampledResult Result =
-      runSampledLoop(DP, M, Plan, Config, Decider, MaxInsts,
-                     /*StartInsts=*/0, Telemetry, &Lib, &LS);
+      runSampledLoop(DP, M, Plan, Config, Decider, MaxInsts, Telemetry, &Lib,
+                     &LS);
   publishLibraryCounters(LS, M.memory());
   return Result;
 }

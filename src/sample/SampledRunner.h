@@ -113,29 +113,13 @@ SampledResult runSampled(const DecodedProgram &DP, const SamplingPlan &Plan,
                          uint64_t MaxInsts = ~0ULL,
                          const telemetry::TelemetrySink *Telemetry = nullptr);
 
-/// Convenience form that decodes \p P privately. Prefer the DecodedProgram
-/// overload when the same program runs more than once.
-SampledResult runSampled(const Program &P, const SamplingPlan &Plan,
-                         const PipelineConfig &Config = PipelineConfig(),
-                         BrrDecider *Decider = nullptr,
-                         uint64_t MaxInsts = ~0ULL,
-                         const telemetry::TelemetrySink *Telemetry = nullptr);
-
 /// As above, but resumes from existing architectural state in \p M (e.g. a
 /// restored checkpoint; the image is not reloaded) and leaves the final
-/// state in place. \p StartInsts seeds the global instruction index so
-/// marker positions line up with the original stream.
+/// state in place. Marker positions count from the resume point.
 SampledResult runSampled(const DecodedProgram &DP, Machine &M,
                          const SamplingPlan &Plan,
                          const PipelineConfig &Config, BrrDecider &Decider,
-                         uint64_t MaxInsts = ~0ULL, uint64_t StartInsts = 0,
-                         const telemetry::TelemetrySink *Telemetry = nullptr);
-
-/// Convenience resuming form that decodes \p P privately.
-SampledResult runSampled(const Program &P, Machine &M,
-                         const SamplingPlan &Plan,
-                         const PipelineConfig &Config, BrrDecider &Decider,
-                         uint64_t MaxInsts = ~0ULL, uint64_t StartInsts = 0,
+                         uint64_t MaxInsts = ~0ULL,
                          const telemetry::TelemetrySink *Telemetry = nullptr);
 
 /// Library-backed sampled run: identical phase structure to runSampled,

@@ -33,14 +33,6 @@ Interpreter::Interpreter(const DecodedProgram &DP, Machine &M,
     Mach.loadProgram(Prog);
 }
 
-Interpreter::Interpreter(const Program &P, Machine &M, BrrDecider &Decider,
-                         bool LoadImage)
-    : OwnedImage(std::in_place, P), Dec(*OwnedImage), Prog(P), Mach(M),
-      Decider(Decider) {
-  if (LoadImage)
-    Mach.loadProgram(Prog);
-}
-
 Interpreter::~Interpreter() {
   if (!telemetry::CounterRegistry::enabled())
     return;

@@ -30,7 +30,6 @@
 #include "sim/Machine.h"
 
 #include <functional>
-#include <optional>
 
 namespace bor {
 
@@ -78,12 +77,6 @@ public:
   Interpreter(const DecodedProgram &DP, Machine &M, BrrDecider &Decider,
               bool LoadImage = true);
 
-  /// Convenience: decodes \p P privately and owns the image. Prefer the
-  /// DecodedProgram overload wherever more than one engine executes the
-  /// same program.
-  Interpreter(const Program &P, Machine &M, BrrDecider &Decider,
-              bool LoadImage = true);
-
   /// Publishes this run's aggregate execution statistics to the telemetry
   /// counter registry (interp.*, including the interp.block.* chained-
   /// dispatch counters). Aggregation at destruction keeps the dispatch
@@ -114,7 +107,6 @@ public:
 private:
   void runChained(uint64_t MaxSteps);
 
-  std::optional<DecodedProgram> OwnedImage; ///< Program-ctor form only.
   const DecodedProgram &Dec;
   const Program &Prog;
   Machine &Mach;

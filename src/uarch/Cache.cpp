@@ -20,7 +20,8 @@ Cache::Cache(const CacheConfig &Config) : Config(Config) {
   Ways.resize(static_cast<size_t>(NumSets) * Config.Assoc);
 }
 
-bool Cache::access(uint64_t Addr) {
+// Cache-line aligned, as Interpreter::step() is (see sim/Interpreter.cpp).
+__attribute__((aligned(64))) bool Cache::access(uint64_t Addr) {
   ++Stats.Accesses;
   ++UseClock;
 

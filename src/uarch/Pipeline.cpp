@@ -70,24 +70,9 @@ Pipeline::Pipeline(const DecodedProgram &DP, const PipelineConfig &Config,
     : Config(Config), Dec(DP), OwnedMach(std::make_unique<Machine>()),
       OwnedUarch(std::make_unique<MicroarchState>(Config)),
       Mach(*OwnedMach), Uarch(*OwnedUarch),
-      OwnedDecider(Decider ? nullptr
-                           : std::make_unique<BrrUnitDecider>(Config.Brr)),
-      Oracle(DP, Mach, Decider ? *Decider : *OwnedDecider),
-      Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
-      DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
-      IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
-  RegReady.fill(0); // the Oracle's constructor loads the program image
-}
-
-Pipeline::Pipeline(const Program &P, const PipelineConfig &Config,
-                   BrrDecider *Decider)
-    : Config(Config), OwnedDec(std::make_unique<DecodedProgram>(P)),
-      Dec(*OwnedDec), OwnedMach(std::make_unique<Machine>()),
-      OwnedUarch(std::make_unique<MicroarchState>(Config)),
-      Mach(*OwnedMach), Uarch(*OwnedUarch),
-      OwnedDecider(Decider ? nullptr
-                           : std::make_unique<BrrUnitDecider>(Config.Brr)),
-      Oracle(Dec, Mach, Decider ? *Decider : *OwnedDecider),
+      DefaultDecider(Decider ? nullptr
+                             : std::make_unique<BrrUnitDecider>(Config.Brr)),
+      Oracle(DP, Mach, Decider ? *Decider : *DefaultDecider),
       Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
       DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
       IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
@@ -99,17 +84,6 @@ Pipeline::Pipeline(const DecodedProgram &DP, Machine &M,
                    BrrDecider &Decider)
     : Config(Config), Dec(DP), Mach(M), Uarch(Uarch),
       Oracle(DP, Mach, Decider, /*LoadImage=*/false),
-      Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
-      DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
-      IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
-  RegReady.fill(0);
-}
-
-Pipeline::Pipeline(const Program &P, Machine &M, MicroarchState &Uarch,
-                   const PipelineConfig &Config, BrrDecider &Decider)
-    : Config(Config), OwnedDec(std::make_unique<DecodedProgram>(P)),
-      Dec(*OwnedDec), Mach(M), Uarch(Uarch),
-      Oracle(Dec, Mach, Decider, /*LoadImage=*/false),
       Policy(this->Uarch, this->Config), DecodeStage(Config.DecodeWidth),
       DispatchStage(Config.DecodeWidth), CommitStage(Config.CommitWidth),
       IssueSlots(Config.IssueWidth), RobSlotFree(Config.RobEntries, 0) {
@@ -185,7 +159,9 @@ void Pipeline::StoreTable::grow() {
       set(S.Word, S.Ready);
 }
 
-uint64_t Pipeline::fetchInstruction(const ExecRecord &R) {
+// Cache-line aligned, as Interpreter::step() is (see sim/Interpreter.cpp).
+__attribute__((aligned(64))) uint64_t
+Pipeline::fetchInstruction(const ExecRecord &R) {
   if (RedirectPending) {
     if (RedirectCycle > FetchCycle) {
       uint64_t Lost = RedirectCycle - FetchCycle;
@@ -232,7 +208,9 @@ uint64_t Pipeline::placeIssue(uint64_t Earliest, uint64_t Floor) {
   return C;
 }
 
-uint64_t Pipeline::completeExecution(const ExecRecord &R, uint64_t Issue) {
+// Cache-line aligned, as Interpreter::step() is (see sim/Interpreter.cpp).
+__attribute__((aligned(64))) uint64_t
+Pipeline::completeExecution(const ExecRecord &R, uint64_t Issue) {
   switch (R.D->Kind) {
   case InstKind::Load: {
     uint64_t Done =
@@ -260,7 +238,9 @@ uint64_t Pipeline::completeExecution(const ExecRecord &R, uint64_t Issue) {
   }
 }
 
-RunResult Pipeline::run(uint64_t MaxInsts, bool RequireHalt) {
+// Cache-line aligned, as Interpreter::step() is (see sim/Interpreter.cpp).
+__attribute__((aligned(64))) RunResult Pipeline::run(uint64_t MaxInsts,
+                                                     bool RequireHalt) {
   telemetry::TraceWriter *Detail =
       Telemetry ? Telemetry->detailTrace() : nullptr;
   while (!Oracle.halted() && Stats.Insts < MaxInsts) {

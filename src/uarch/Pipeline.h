@@ -130,14 +130,16 @@ struct InstTimestamps {
   bool FrontEndFlush = false;
 };
 
-/// The timing model. In the classic (cold) form it owns the machine
-/// state, functional oracle, branch predictor, BTB, RAS and cache
-/// hierarchy for one run. In the attached form it borrows an existing
-/// Machine and MicroarchState, resuming execution from the machine's
-/// current PC with pre-warmed structures -- the detailed-interval mode of
-/// the sampled-simulation subsystem. Either way every committed
-/// instruction's architectural effects land in the (owned or borrowed)
-/// Machine, so state drains back to the caller naturally.
+/// The timing model. It executes a caller-owned DecodedProgram, the image
+/// every other engine running the same program shares. In the classic
+/// (cold) form it owns the machine state, functional oracle, branch
+/// predictor, BTB, RAS and cache hierarchy for one run. In the attached
+/// form it borrows an existing Machine and MicroarchState, resuming
+/// execution from the machine's current PC with pre-warmed structures --
+/// the detailed-interval mode of the sampled-simulation subsystem. Either
+/// way every committed instruction's architectural effects land in the
+/// (owned or borrowed) Machine, so state drains back to the caller
+/// naturally.
 class Pipeline {
 public:
   /// Cold run over a fresh machine: loads the program and starts at PC 0
@@ -150,21 +152,12 @@ public:
            const PipelineConfig &Config = PipelineConfig(),
            BrrDecider *Decider = nullptr);
 
-  /// Convenience cold-run form that decodes \p P privately. Prefer the
-  /// DecodedProgram overload when the same program is run more than once.
-  Pipeline(const Program &P, const PipelineConfig &Config = PipelineConfig(),
-           BrrDecider *Decider = nullptr);
-
   /// Attached run: resumes \p M from its current PC (no image reload)
   /// against the caller's \p Uarch structures, which are read AND trained
   /// in place. \p DP, \p M, \p Uarch and \p Decider must outlive the
   /// Pipeline. This is the form the sampled runner attaches once per
   /// detailed interval, so sharing the decoded image matters most here.
   Pipeline(const DecodedProgram &DP, Machine &M, MicroarchState &Uarch,
-           const PipelineConfig &Config, BrrDecider &Decider);
-
-  /// Convenience attached form that decodes \p P privately.
-  Pipeline(const Program &P, Machine &M, MicroarchState &Uarch,
            const PipelineConfig &Config, BrrDecider &Decider);
 
   /// Publishes the run's aggregate statistics to the telemetry counter
@@ -291,10 +284,6 @@ private:
   uint64_t completeExecution(const ExecRecord &R, uint64_t Issue);
 
   PipelineConfig Config;
-
-  /// Owned by the Program-taking convenience ctors, null when the caller
-  /// shares a decoded image; Dec references whichever instance applies.
-  std::unique_ptr<DecodedProgram> OwnedDec;
   const DecodedProgram &Dec;
 
   /// Owned in the cold-run form, null in the attached form; Mach/Uarch
@@ -303,7 +292,8 @@ private:
   std::unique_ptr<MicroarchState> OwnedUarch;
   Machine &Mach;
   MicroarchState &Uarch;
-  std::unique_ptr<BrrDecider> OwnedDecider;
+  /// The Config.Brr decider a cold run builds when handed none.
+  std::unique_ptr<BrrDecider> DefaultDecider;
   Interpreter Oracle;
   BranchUpdatePolicy Policy;
 

@@ -5,8 +5,8 @@
 #   2. A synthetic >=10% roi_cycles slowdown in a copied run dir is
 #      flagged: bor-report exits nonzero and names the metric.
 #   3. Sampled runs write timeseries.json, byte-identical for --threads 1
-#      and 8, and the sampled manifests also compare clean against each
-#      other.
+#      and 8 and with --cell-timeout set, and the sampled manifests also
+#      compare clean against each other.
 #   4. --update-baselines regenerates every committed bench/BENCH_*.json
 #      byte-identically at --threads 2, so the baselines stay reproducible
 #      from source, do not depend on the thread count, and pin every Zipf
@@ -118,6 +118,16 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                 RESULT_VARIABLE DIFF)
 if(NOT DIFF EQUAL 0)
   message(FATAL_ERROR "timeseries.json differs between --threads 1 and 8")
+endif()
+# A timed cell runs on its own thread and must keep its series tag.
+run_bench(ERR_ST --experiment fig13 --scale 100 --no-table --sample
+          --threads 8 --cell-timeout 600 --run-dir ${WORKDIR}/runST)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${WORKDIR}/runS1/timeseries.json
+                        ${WORKDIR}/runST/timeseries.json
+                RESULT_VARIABLE DIFF)
+if(NOT DIFF EQUAL 0)
+  message(FATAL_ERROR "timeseries.json differs with --cell-timeout 600")
 endif()
 execute_process(COMMAND ${REPORT} ${WORKDIR}/runS1 ${WORKDIR}/runS8
                 RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)

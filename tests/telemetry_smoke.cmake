@@ -1,7 +1,8 @@
 # End-to-end telemetry checks on bor-bench:
 #
 #   1. --trace writes a well-formed Chrome trace-event JSON object with at
-#      least one experiment-cell span (validated with cmake's string(JSON)).
+#      least one experiment-cell span (validated with cmake's string(JSON)),
+#      and a --cell-timeout run writes as many cell spans as a run without.
 #   2. --counters-out snapshots are byte-identical for --threads 1 and 8.
 #   3. The heartbeat stays off when stderr is not a TTY, also with the
 #      retired BOR_HEARTBEAT=1 set, and --progress text forces it on.
@@ -30,29 +31,44 @@ endfunction()
 
 run_bench(8 ${C8} --trace=${TRACE} ERR8)
 run_bench(1 ${C1} "" ERR1)
+set(TRACE_TIMED ${WORKDIR}/fig13_trace_timed.json)
+run_bench(8 ${WORKDIR}/counters_timed.txt
+          "--trace=${TRACE_TIMED};--cell-timeout;600" ERR_TIMED)
 
-# 1. Trace well-formedness. string(JSON) fails the script on malformed
-# JSON; then assert the structure the viewer needs.
-file(READ ${TRACE} TRACE_TEXT)
-string(JSON NEVENTS LENGTH "${TRACE_TEXT}" traceEvents)
-if(NEVENTS LESS 1)
-  message(FATAL_ERROR "trace has no events")
-endif()
-string(JSON DROPPED GET "${TRACE_TEXT}" otherData dropped_events)
-if(NOT DROPPED EQUAL 0)
-  message(FATAL_ERROR "trace dropped ${DROPPED} events at bench scale")
-endif()
-set(SAW_CELL 0)
-math(EXPR LAST "${NEVENTS} - 1")
-foreach(I RANGE ${LAST})
-  string(JSON NAME GET "${TRACE_TEXT}" traceEvents ${I} name)
-  string(JSON PH GET "${TRACE_TEXT}" traceEvents ${I} ph)
-  if(NAME STREQUAL "cell" AND PH STREQUAL "X")
-    set(SAW_CELL 1)
+# Checks that \p trace is a well-formed trace with no dropped events
+# (string(JSON) fails the script on malformed JSON) and sets \p out to its
+# number of experiment-cell spans.
+function(count_cell_spans trace out)
+  file(READ ${trace} TEXT)
+  string(JSON NEVENTS LENGTH "${TEXT}" traceEvents)
+  if(NEVENTS LESS 1)
+    message(FATAL_ERROR "${trace} has no events")
   endif()
-endforeach()
-if(NOT SAW_CELL)
+  string(JSON DROPPED GET "${TEXT}" otherData dropped_events)
+  if(NOT DROPPED EQUAL 0)
+    message(FATAL_ERROR "${trace} dropped ${DROPPED} events at bench scale")
+  endif()
+  set(CELLS 0)
+  math(EXPR LAST "${NEVENTS} - 1")
+  foreach(I RANGE ${LAST})
+    string(JSON NAME GET "${TEXT}" traceEvents ${I} name)
+    string(JSON PH GET "${TEXT}" traceEvents ${I} ph)
+    if(NAME STREQUAL "cell" AND PH STREQUAL "X")
+      math(EXPR CELLS "${CELLS} + 1")
+    endif()
+  endforeach()
+  set(${out} ${CELLS} PARENT_SCOPE)
+endfunction()
+
+# 1. Trace well-formedness and cell spans, with and without a timeout.
+count_cell_spans(${TRACE} CELLS)
+if(CELLS LESS 1)
   message(FATAL_ERROR "trace contains no experiment-cell span")
+endif()
+count_cell_spans(${TRACE_TIMED} CELLS_TIMED)
+if(NOT CELLS_TIMED EQUAL CELLS)
+  message(FATAL_ERROR "--cell-timeout trace has ${CELLS_TIMED} cell spans, "
+                      "the untimed trace ${CELLS}")
 endif()
 
 # 2. Counter snapshots must not depend on the worker count.

@@ -29,7 +29,8 @@ struct AppRun {
 
   AppRun(const AppConfig &C, BrrDecider &D) {
     App = buildApp(C);
-    Interpreter I(App.Prog, M, D);
+    const DecodedProgram DP(App.Prog);
+    Interpreter I(DP, M, D);
     Stats = I.run(100000000);
   }
 

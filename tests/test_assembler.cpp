@@ -130,7 +130,8 @@ TEST(Assembler, DataDirectivesAndSymbolLoad) {
 
   Machine M;
   NeverTakenDecider D;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   I.run(100);
   EXPECT_EQ(M.readReg(2), 12345u);
 }
@@ -184,7 +185,8 @@ TEST(Assembler, AssembledProgramExecutes) {
                            "  halt\n");
   Machine M;
   NeverTakenDecider D;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   I.run(1000);
   EXPECT_EQ(M.readReg(3), 55u); // 10+9+...+1
 }

@@ -59,7 +59,8 @@ struct ExecFingerprint {
 ExecFingerprint runFingerprint(const Program &P) {
   Machine M;
   BrrUnitDecider D; // default config: same decider stream for every layout
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   RunStats S = I.run(2'000'000);
   ExecFingerprint F;
   F.Loads = S.Loads;
@@ -223,7 +224,8 @@ TEST(CfgEmit, RelaxesBranchOutgrowingItsField) {
   EXPECT_GE(S.RelaxedBranches, 1u);
   Machine Mach;
   BrrUnitDecider D;
-  Interpreter I(P, Mach, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, Mach, D);
   RunStats R = I.run(100);
   EXPECT_TRUE(R.Halted); // took the relaxed path to Far, not the pad
   EXPECT_LT(R.Insts, 10u);

@@ -46,7 +46,8 @@ TEST(CounterGlobals, RegisterSetupInitializesCountdown) {
   Machine M;
   NeverTakenDecider D;
   Program P = B.finish();
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   I.run(10);
   EXPECT_EQ(M.readReg(RegCounter), 15u);
 }

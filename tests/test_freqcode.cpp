@@ -34,21 +34,6 @@ TEST(FreqCode, ForIntervalRoundTripsAllEncodings) {
   }
 }
 
-TEST(FreqCode, NearestPicksClosestInLogSpace) {
-  EXPECT_EQ(FreqCode::nearest(0.5).raw(), 0u);
-  EXPECT_EQ(FreqCode::nearest(0.25).raw(), 1u);
-  EXPECT_EQ(FreqCode::nearest(1.0 / 1024).raw(), 9u);
-  // 0.3 is closer to 2^-2 than to 2^-1 in log space.
-  EXPECT_EQ(FreqCode::nearest(0.3).raw(), 1u);
-  EXPECT_EQ(FreqCode::nearest(0.35).raw(), 1u);
-}
-
-TEST(FreqCode, NearestClampsOutOfRange) {
-  EXPECT_EQ(FreqCode::nearest(0.9).raw(), 0u);
-  EXPECT_EQ(FreqCode::nearest(1.0).raw(), 0u);
-  EXPECT_EQ(FreqCode::nearest(1e-9).raw(), 15u);
-}
-
 TEST(FreqCode, Equality) {
   EXPECT_EQ(FreqCode(3), FreqCode(3));
   EXPECT_NE(FreqCode(3), FreqCode(4));

@@ -33,7 +33,8 @@ uint64_t roiCycles(const InstrumentationConfig &Instr) {
   C.Text.NumChars = TestChars;
   C.Instr = Instr;
   MicrobenchProgram MB = buildMicrobench(C);
-  Pipeline Pipe(MB.Prog, PipelineConfig());
+  const DecodedProgram DP(MB.Prog);
+  Pipeline Pipe(DP, PipelineConfig());
   const std::vector<MarkerEvent> Events = Pipe.run(100000000).Markers;
   EXPECT_EQ(Events.size(), 2u);
   return Events[1].CommitCycle - Events[0].CommitCycle;
@@ -55,7 +56,8 @@ TEST(Integration, MicrobenchBaselineIpcIsPlausible) {
   MicrobenchConfig C;
   C.Text.NumChars = TestChars;
   MicrobenchProgram MB = buildMicrobench(C);
-  Pipeline Pipe(MB.Prog, PipelineConfig());
+  const DecodedProgram DP(MB.Prog);
+  Pipeline Pipe(DP, PipelineConfig());
   PipelineStats S = Pipe.run(100000000).Stats;
   // Data-dependent branches hold the baseline well under peak, but the
   // machine is not pathological either.
@@ -142,7 +144,8 @@ TEST(Integration, AppOverheadOrderingMatchesFigure12) {
     C.Instr.Dup = DuplicationMode::FullDuplication;
     C.Instr.Interval = 1024;
     AppProgram P = buildApp(C);
-    Pipeline Pipe(P.Prog, PipelineConfig());
+    const DecodedProgram DP(P.Prog);
+    Pipeline Pipe(DP, PipelineConfig());
     const std::vector<MarkerEvent> Events = Pipe.run(200000000).Markers;
     EXPECT_EQ(Events.size(), 2u);
     return Events[1].CommitCycle - Events[0].CommitCycle;
@@ -189,8 +192,8 @@ TEST_P(IsaValidation, TraceLevelSamplingMatchesIsaSimulation) {
   NeverTakenDecider Never;
   BrrUnitDecider Brr(Cfg);
   Machine M;
-  Interpreter I(MB.Prog, M,
-                Counter ? static_cast<BrrDecider &>(Never) : Brr);
+  const DecodedProgram DP(MB.Prog);
+  Interpreter I(DP, M, Counter ? static_cast<BrrDecider &>(Never) : Brr);
   I.run(1ULL << 34);
   std::vector<uint64_t> Isa;
   for (unsigned Site = 0; Site != NumSites; ++Site)

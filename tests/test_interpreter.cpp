@@ -17,7 +17,8 @@ struct ExecRun {
   RunStats Stats;
 
   ExecRun(const Program &P, BrrDecider &D, uint64_t MaxSteps = 100000) {
-    Interpreter I(P, M, D);
+    const DecodedProgram DP(P);
+    Interpreter I(DP, M, D);
     Stats = I.run(MaxSteps);
   }
 };
@@ -230,7 +231,8 @@ TEST(Interpreter, MarkerHookFires) {
   Program P = B.finish();
   Machine M;
   NeverTakenDecider D;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   std::vector<int32_t> Seen;
   I.setMarkerHook([&](int32_t Id) { Seen.push_back(Id); });
   I.run(10);
@@ -246,7 +248,8 @@ TEST(Interpreter, RunStopsAtBudgetWithoutHalt) {
   Program P = B.finish();
   Machine M;
   NeverTakenDecider D;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   RunStats S = I.run(100, /*RequireHalt=*/false);
   EXPECT_EQ(S.Insts, 100u);
   EXPECT_FALSE(S.Halted);
@@ -260,7 +263,8 @@ TEST(Interpreter, HaltStopsExecution) {
   Program P = B.finish();
   Machine M;
   NeverTakenDecider D;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   RunStats S = I.run(10);
   EXPECT_TRUE(S.Halted);
   EXPECT_EQ(M.readReg(1), 1u);
@@ -278,7 +282,8 @@ TEST(Interpreter, ExecRecordReportsBranchOutcome) {
   Program P = B.finish();
   Machine M;
   NeverTakenDecider D;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   I.step(); // li
   ExecRecord R = I.step();
   EXPECT_TRUE(R.Taken);
@@ -300,7 +305,8 @@ TEST(Interpreter, RdLfsrReadsAndStepsTheGenerator) {
   BrrUnitConfig Cfg;
   BrrUnitDecider D(Cfg);
   Machine M;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   I.run(10);
 
   // Replicate: the same unit configuration yields the same state walk.
@@ -322,7 +328,8 @@ TEST(Interpreter, RdLfsrWithoutLfsrDeciderReadsZero) {
   Program P = B.finish();
   Machine M;
   HwCounterDecider D; // no LFSR behind it
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   I.run(10);
   EXPECT_EQ(M.readReg(4), 0u);
 }

@@ -13,14 +13,16 @@ namespace {
 
 uint64_t runResult(const KernelProgram &K, BrrDecider &D) {
   Machine M;
-  Interpreter I(K.Prog, M, D);
+  const DecodedProgram DP(K.Prog);
+  Interpreter I(DP, M, D);
   I.run(1ULL << 28);
   return M.memory().readU64(K.Prog.symbol("result"));
 }
 
 std::vector<uint64_t> siteCounts(const KernelProgram &K, BrrDecider &D) {
   Machine M;
-  Interpreter I(K.Prog, M, D);
+  const DecodedProgram DP(K.Prog);
+  Interpreter I(DP, M, D);
   I.run(1ULL << 28);
   uint64_t Base = K.Prog.symbol("sites");
   std::vector<uint64_t> Counts;
@@ -89,7 +91,8 @@ TEST_P(KernelCorrectness, RunsOnTheTimingModel) {
   C.Instr.Framework = SamplingFramework::BrrBased;
   C.Instr.Interval = 64;
   KernelProgram K = buildKernel(C);
-  Pipeline Pipe(K.Prog, PipelineConfig());
+  const DecodedProgram DP(K.Prog);
+  Pipeline Pipe(DP, PipelineConfig());
   RunResult R = Pipe.run(1ULL << 40);
   EXPECT_GT(R.Stats.Cycles, 0u);
   ASSERT_EQ(R.Markers.size(), 2u) << K.Name;
@@ -122,7 +125,8 @@ TEST(KernelSuite, KernelsHaveDistinctPersonalities) {
     KernelConfig C;
     C.Kind = Kind;
     KernelProgram K = buildKernel(C);
-    Pipeline Pipe(K.Prog, PipelineConfig());
+    const DecodedProgram DP(K.Prog);
+    Pipeline Pipe(DP, PipelineConfig());
     return Pipe.run(1ULL << 40).Stats.ipc();
   };
   double ListIpc = Ipc(KernelKind::ListSum);

@@ -22,7 +22,8 @@ struct MicrobenchRun {
     C.Text.NumChars = NumChars;
     C.Instr = Instr;
     MB = buildMicrobench(C);
-    Interpreter I(MB.Prog, M, D);
+    const DecodedProgram DP(MB.Prog);
+    Interpreter I(DP, M, D);
     I.setMarkerHook([this](int32_t Id) { Markers.push_back(Id); });
     Stats = I.run(200 * NumChars + 10000);
   }

@@ -30,7 +30,8 @@ uint64_t runChecksum(const Program &P, uint64_t ChecksumAddr,
                      RunStats *StatsOut = nullptr) {
   Machine M;
   BrrUnitDecider D;
-  Interpreter I(P, M, D);
+  const DecodedProgram DP(P);
+  Interpreter I(DP, M, D);
   RunStats S = I.run(1ULL << 24);
   EXPECT_TRUE(S.Halted);
   if (StatsOut)
@@ -114,9 +115,9 @@ TEST(ProfileMap, FromJsonSurvivesTruncationAndBitFlips) {
   PgoGenConfig C;
   C.Iters = 50;
   PgoWorkload W = buildPgoWorkload(C);
+  const DecodedProgram DP(W.Baseline);
   BrrUnitDecider D;
-  std::string Doc =
-      opt::collectOracleProfile(W.Baseline, D, 1 << 22).toJson();
+  std::string Doc = opt::collectOracleProfile(DP, D, 1 << 22).toJson();
   ASSERT_GT(Doc.size(), 200u);
 
   size_t Parsed = 0, Rejected = 0;
@@ -149,7 +150,8 @@ TEST(ProfileMap, OracleCountsMatchLoopStructure) {
   Program P = B.finish();
 
   BrrUnitDecider D;
-  opt::ProfileMap Prof = opt::collectOracleProfile(P, D, 1 << 20);
+  const DecodedProgram DP(P);
+  opt::ProfileMap Prof = opt::collectOracleProfile(DP, D, 1 << 20);
   EXPECT_TRUE(Prof.complete());
   cfg::Module M = cfg::buildModule(P);
   cfg::BlockId Entry = M.layout().front();
@@ -177,7 +179,8 @@ TEST(LayoutPasses, OracleProfileFlipsBiasedBranchesAndPreservesExecution) {
   uint64_t BaseSum = runChecksum(W.Baseline, W.ChecksumAddr, &BaseStats);
 
   BrrUnitDecider D;
-  opt::ProfileMap Prof = opt::collectOracleProfile(W.Baseline, D, 1 << 24);
+  const DecodedProgram DP(W.Baseline);
+  opt::ProfileMap Prof = opt::collectOracleProfile(DP, D, 1 << 24);
   cfg::Module M = cfg::buildModule(W.Baseline);
   opt::LayoutStats LS = opt::optimizeLayout(M, Prof);
   EXPECT_GT(LS.HotFallthroughs, 0u);
@@ -207,7 +210,8 @@ TEST(LayoutPasses, SampledBrrProfileDrivesTheSameFlips) {
   // Collect sampled counts from the instrumented variant.
   Machine Mach;
   BrrUnitDecider D;
-  Interpreter I(W.Instrumented, Mach, D);
+  const DecodedProgram DP(W.Instrumented);
+  Interpreter I(DP, Mach, D);
   RunStats S = I.run(1ULL << 24);
   ASSERT_TRUE(S.Halted);
   ASSERT_GT(S.BrrExecuted, 0u);
@@ -282,7 +286,8 @@ TEST(LayoutPasses, BrrUncommonBlocksAreOutlinedStructurally) {
   Program Q = cfg::emitProgram(M);
   Machine Mach;
   BrrUnitDecider D;
-  Interpreter I(Q, Mach, D);
+  const DecodedProgram DP(Q);
+  Interpreter I(DP, Mach, D);
   RunStats S = I.run(1 << 20);
   EXPECT_TRUE(S.Halted);
   EXPECT_GT(S.BrrExecuted, 0u);

@@ -28,7 +28,8 @@ Program loopProgram(uint64_t Iters,
 
 PipelineStats timeProgram(const Program &P, BrrDecider *D = nullptr,
                           uint64_t MaxInsts = 20000000) {
-  Pipeline Pipe(P, PipelineConfig(), D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig(), D);
   return Pipe.run(MaxInsts).Stats;
 }
 
@@ -218,7 +219,8 @@ TEST(Pipeline, BrrNeverTouchesPredictorOrBtb) {
     B.emit(Inst::add(4, 4, 4));
   });
   BrrUnitDecider D;
-  Pipeline Pipe(P, PipelineConfig(), &D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig(), &D);
   PipelineStats S = Pipe.run(20000000).Stats;
   // Only the loop branch predicts/updates; the 5000 brrs are invisible.
   EXPECT_EQ(Pipe.predictor().stats().Predictions, S.CondBranches);
@@ -244,8 +246,9 @@ TEST(Pipeline, BrrAsBackendBranchAblationIsSlower) {
   Ablated.BrrAsBackendBranch = true;
 
   BrrUnitDecider D1, D2;
-  Pipeline PipeFast(P, Fast, &D1);
-  Pipeline PipeAblated(P, Ablated, &D2);
+  const DecodedProgram DP(P);
+  Pipeline PipeFast(DP, Fast, &D1);
+  Pipeline PipeAblated(DP, Ablated, &D2);
   uint64_t FastCycles = PipeFast.run(20000000).Stats.Cycles;
   uint64_t AblatedCycles = PipeAblated.run(20000000).Stats.Cycles;
   EXPECT_GT(AblatedCycles, FastCycles + FastCycles / 10);
@@ -259,7 +262,8 @@ TEST(Pipeline, MarkersRecordRegionOfInterest) {
   B.emit(Inst::marker(2));
   B.emit(Inst::halt());
   Program P = B.finish();
-  Pipeline Pipe(P, PipelineConfig());
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig());
   const std::vector<MarkerEvent> Events = Pipe.run(1000).Markers;
   ASSERT_EQ(Events.size(), 2u);
   EXPECT_EQ(Events[0].Id, 1);
@@ -329,8 +333,10 @@ TEST(Pipeline, RobLimitsInflightMemoryMisses) {
 
   Program ProgSmall = Build();
   Program ProgBig = Build();
-  Pipeline PSmall(ProgSmall, Small);
-  Pipeline PBig(ProgBig, Big);
+  const DecodedProgram DecSmall(ProgSmall);
+  const DecodedProgram DecBig(ProgBig);
+  Pipeline PSmall(DecSmall, Small);
+  Pipeline PBig(DecBig, Big);
   uint64_t CSmall = PSmall.run(20000000).Stats.Cycles;
   uint64_t CBig = PBig.run(20000000).Stats.Cycles;
   EXPECT_GT(CSmall, CBig) << "a tiny ROB must hurt memory-level parallelism";
@@ -358,8 +364,9 @@ TEST(Pipeline, PerfectPredictionRemovesBranchCosts) {
   Oracle.PerfectBranchPrediction = true;
 
   BrrUnitDecider D1, D2;
-  Pipeline Real(P, PipelineConfig(), &D1);
-  Pipeline Perfect(P, Oracle, &D2);
+  const DecodedProgram DP(P);
+  Pipeline Real(DP, PipelineConfig(), &D1);
+  Pipeline Perfect(DP, Oracle, &D2);
   PipelineStats SReal = Real.run(20000000).Stats;
   PipelineStats SPerfect = Perfect.run(20000000).Stats;
 
@@ -378,7 +385,8 @@ TEST(Pipeline, PerfectPredictionSameArchitecturalWork) {
   });
   PipelineConfig Oracle;
   Oracle.PerfectBranchPrediction = true;
-  Pipeline Perfect(P, Oracle);
+  const DecodedProgram DP(P);
+  Pipeline Perfect(DP, Oracle);
   PipelineStats S = Perfect.run(20000000).Stats;
   EXPECT_EQ(S.Insts, 1 + 1000 * 3 + 1u);
 }
@@ -389,7 +397,8 @@ TEST(Pipeline, DescribeStatsMentionsKeyFields) {
     B.emitBrr(FreqCode(2), Skip);
     B.bind(Skip);
   });
-  Pipeline Pipe(P, PipelineConfig());
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig());
   PipelineStats S = Pipe.run(1000000).Stats;
   std::string Text = describeStats(S);
   EXPECT_NE(Text.find("cycles"), std::string::npos);

@@ -70,7 +70,8 @@ TEST_P(PipelineInvariants, StageLawsHoldForEveryInstruction) {
   PipelineConfig Cfg;
 
   std::vector<InstTimestamps> Trace;
-  Pipeline Pipe(P, Cfg);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, Cfg);
   Pipe.setObserver([&Trace](const InstTimestamps &TS) {
     Trace.push_back(TS);
   });
@@ -145,7 +146,8 @@ TEST(PipelineObserver, BrrFastPathIsVisible) {
   Program P = B.finish();
   std::vector<InstTimestamps> Trace;
   NeverTakenDecider D;
-  Pipeline Pipe(P, PipelineConfig(), &D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig(), &D);
   Pipe.setObserver([&Trace](const InstTimestamps &TS) {
     Trace.push_back(TS);
   });
@@ -160,7 +162,8 @@ TEST(PipelineObserver, DisabledByDefaultAndDetachable) {
   ProgramBuilder B;
   B.emit(Inst::halt());
   Program P = B.finish();
-  Pipeline Pipe(P, PipelineConfig());
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig());
   int Calls = 0;
   Pipe.setObserver([&Calls](const InstTimestamps &) { ++Calls; });
   Pipe.setObserver(nullptr);
@@ -178,7 +181,8 @@ TEST(PipelineInvariantsConfig, NarrowMachineRespectsItsWidths) {
   Narrow.RobEntries = 4;
 
   std::map<uint64_t, unsigned> CommitPerCycle;
-  Pipeline Pipe(P, Narrow);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, Narrow);
   Pipe.setObserver([&CommitPerCycle](const InstTimestamps &TS) {
     if (!TS.CommittedAtDecode)
       ++CommitPerCycle[TS.Commit];

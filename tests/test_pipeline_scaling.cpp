@@ -28,7 +28,8 @@ Program mixedProgram() {
 
 uint64_t cyclesWith(const Program &P, const PipelineConfig &Cfg) {
   HwCounterDecider D;
-  Pipeline Pipe(P, Cfg, &D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, Cfg, &D);
   return Pipe.run(1ULL << 40).Stats.Cycles;
 }
 
@@ -137,8 +138,9 @@ TEST(PipelineScaling, ArchitecturalWorkIsResourceIndependent) {
   Narrow.RobEntries = 4;
 
   HwCounterDecider D1, D2;
-  Pipeline Wide(P, PipelineConfig(), &D1);
-  Pipeline Thin(P, Narrow, &D2);
+  const DecodedProgram DP(P);
+  Pipeline Wide(DP, PipelineConfig(), &D1);
+  Pipeline Thin(DP, Narrow, &D2);
   PipelineStats SW = Wide.run(1ULL << 40).Stats;
   PipelineStats ST = Thin.run(1ULL << 40).Stats;
   EXPECT_EQ(SW.Insts, ST.Insts);

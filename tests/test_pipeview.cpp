@@ -26,7 +26,8 @@ Program tinyProgram() {
 TEST(Pipeview, RecordsBoundedWindow) {
   Program P = tinyProgram();
   NeverTakenDecider D;
-  Pipeline Pipe(P, PipelineConfig(), &D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig(), &D);
   PipeviewRecorder R(2);
   R.attach(Pipe);
   Pipe.run(100);
@@ -38,7 +39,8 @@ TEST(Pipeview, RecordsBoundedWindow) {
 TEST(Pipeview, SkipOffsetsTheWindow) {
   Program P = tinyProgram();
   NeverTakenDecider D;
-  Pipeline Pipe(P, PipelineConfig(), &D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig(), &D);
   PipeviewRecorder R(2, /*SkipInsts=*/1);
   R.attach(Pipe);
   Pipe.run(100);
@@ -49,7 +51,8 @@ TEST(Pipeview, SkipOffsetsTheWindow) {
 TEST(Pipeview, RenderShowsStagesAndDisassembly) {
   Program P = tinyProgram();
   NeverTakenDecider D;
-  Pipeline Pipe(P, PipelineConfig(), &D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig(), &D);
   PipeviewRecorder R;
   R.attach(Pipe);
   Pipe.run(100);
@@ -69,7 +72,8 @@ TEST(Pipeview, RenderShowsStagesAndDisassembly) {
 TEST(Pipeview, BrrRowEndsAtDecode) {
   Program P = tinyProgram();
   NeverTakenDecider D;
-  Pipeline Pipe(P, PipelineConfig(), &D);
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig(), &D);
   PipeviewRecorder R;
   R.attach(Pipe);
   Pipe.run(100);
@@ -95,7 +99,8 @@ TEST(Pipeview, TruncatesVeryLongRows) {
   B.emit(Inst::add(5, 4, 4));
   B.emit(Inst::halt());
   Program P = B.finish();
-  Pipeline Pipe(P, PipelineConfig());
+  const DecodedProgram DP(P);
+  Pipeline Pipe(DP, PipelineConfig());
   PipeviewRecorder R;
   R.attach(Pipe);
   Pipe.run(100);
@@ -124,8 +129,9 @@ TEST(PipelineTrapEmulation, CostsFarMoreThanNativeBrr) {
   Trap.BrrTrapCycles = 300; // kernel entry + handler + return
 
   HwCounterDecider D1, D2;
-  Pipeline NativePipe(P, Native, &D1);
-  Pipeline TrapPipe(P, Trap, &D2);
+  const DecodedProgram DP(P);
+  Pipeline NativePipe(DP, Native, &D1);
+  Pipeline TrapPipe(DP, Trap, &D2);
   PipelineStats SNative = NativePipe.run(10000000).Stats;
   PipelineStats STrap = TrapPipe.run(10000000).Stats;
 
@@ -153,8 +159,9 @@ TEST(PipelineTrapEmulation, ArchitecturalStateUnchanged) {
   PipelineConfig Trap;
   Trap.BrrTrapCycles = 200;
   HwCounterDecider D1, D2;
-  Pipeline NativePipe(P, PipelineConfig(), &D1);
-  Pipeline TrapPipe(P, Trap, &D2);
+  const DecodedProgram DP(P);
+  Pipeline NativePipe(DP, PipelineConfig(), &D1);
+  Pipeline TrapPipe(DP, Trap, &D2);
   NativePipe.run(1000000);
   TrapPipe.run(1000000);
   EXPECT_EQ(NativePipe.machine().readReg(5), TrapPipe.machine().readReg(5));

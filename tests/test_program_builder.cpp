@@ -123,7 +123,8 @@ TEST(ProgramBuilder, LoadConstMaterializesArbitraryValues) {
 
     Machine M;
     NeverTakenDecider D;
-    Interpreter Interp(P, M, D);
+    const DecodedProgram DP(P);
+    Interpreter Interp(DP, M, D);
     Interp.run(100);
     EXPECT_EQ(M.readReg(5), V) << std::hex << V;
   }

@@ -51,12 +51,13 @@ TEST_P(RandomProgramDifferential, PipelineMatchesInterpreter) {
   // identical sampling decisions.
   Machine FuncMachine;
   HwCounterDecider FuncDecider;
-  Interpreter Func(P, FuncMachine, FuncDecider);
+  const DecodedProgram DP(P);
+  Interpreter Func(DP, FuncMachine, FuncDecider);
   RunStats FuncStats = Func.run(4000000);
   ASSERT_TRUE(FuncStats.Halted);
 
   HwCounterDecider TimedDecider;
-  Pipeline Timed(P, PipelineConfig(), &TimedDecider);
+  Pipeline Timed(DP, PipelineConfig(), &TimedDecider);
   PipelineStats TimedStats = Timed.run(4000000).Stats;
 
   ArchState A = captureState(FuncMachine, P, FuncStats.Insts);

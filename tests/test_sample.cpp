@@ -94,15 +94,15 @@ TEST(SampledRunner, ArchStateIdenticalToFunctionalRun) {
 
   Machine Ref;
   BrrUnitDecider RefD;
-  Interpreter RefI(MB.Prog, Ref, RefD);
+  const DecodedProgram DP(MB.Prog);
+  Interpreter RefI(DP, Ref, RefD);
   RunStats RefStats = RefI.run(1ULL << 24);
   ASSERT_TRUE(RefStats.Halted);
 
   Machine M;
   BrrUnitDecider D;
-  Interpreter Loader(MB.Prog, M, D); // loads the image, executes nothing
-  SampledResult SR =
-      runSampled(MB.Prog, M, tinyPlan(), PipelineConfig(), D);
+  Interpreter Loader(DP, M, D); // loads the image, executes nothing
+  SampledResult SR = runSampled(DP, M, tinyPlan(), PipelineConfig(), D);
 
   EXPECT_TRUE(SR.Halted);
   EXPECT_EQ(SR.TotalInsts, RefStats.Insts);
@@ -116,7 +116,8 @@ TEST(SampledRunner, ArchStateIdenticalToFunctionalRun) {
 
 TEST(SampledRunner, PhaseAccountingAddsUp) {
   MicrobenchProgram MB = instrumentedProgram(3000);
-  SampledResult SR = runSampled(MB.Prog, tinyPlan());
+  const DecodedProgram DP(MB.Prog);
+  SampledResult SR = runSampled(DP, tinyPlan());
 
   ASSERT_TRUE(SR.Halted);
   ASSERT_GE(SR.NumIntervals, 2u);
@@ -138,7 +139,8 @@ TEST(SampledRunner, ShortStreamStillYieldsOneInterval) {
   Plan.WarmupInsts = 100;
   Plan.MeasureInsts = 2000;
   Plan.DetailedWarmupInsts = 50;
-  SampledResult SR = runSampled(MB.Prog, Plan);
+  const DecodedProgram DP(MB.Prog);
+  SampledResult SR = runSampled(DP, Plan);
   EXPECT_TRUE(SR.Halted);
   EXPECT_EQ(SR.NumIntervals, 1u);
   EXPECT_GT(SR.ipcMean(), 0.0);
@@ -146,7 +148,8 @@ TEST(SampledRunner, ShortStreamStillYieldsOneInterval) {
 
 TEST(SampledRunner, MarkersDelimitTheRoi) {
   MicrobenchProgram MB = instrumentedProgram(3000);
-  SampledResult SR = runSampled(MB.Prog, tinyPlan());
+  const DecodedProgram DP(MB.Prog);
+  SampledResult SR = runSampled(DP, tinyPlan());
 
   ASSERT_EQ(SR.Markers.size(), 2u);
   EXPECT_EQ(SR.Markers[0].Id, MarkerRoiBegin);
@@ -160,7 +163,7 @@ TEST(SampledRunner, MarkersDelimitTheRoi) {
   // schedule: a full functional run sees them at the same indices.
   Machine M;
   BrrUnitDecider D;
-  Interpreter I(MB.Prog, M, D);
+  Interpreter I(DP, M, D);
   uint64_t Inst = 0;
   std::vector<uint64_t> FunctionalMarkers;
   while (!I.halted()) {
@@ -177,12 +180,13 @@ TEST(SampledRunner, MarkersDelimitTheRoi) {
 TEST(SampledRunner, IpcTracksFullDetailedRun) {
   MicrobenchProgram MB = instrumentedProgram(4000);
 
-  Pipeline Pipe(MB.Prog, PipelineConfig());
+  const DecodedProgram DP(MB.Prog);
+  Pipeline Pipe(DP, PipelineConfig());
   RunResult Full = Pipe.run(1ULL << 24);
   ASSERT_TRUE(Pipe.machine().halted());
   double FullIpc = Full.Stats.ipc();
 
-  SampledResult SR = runSampled(MB.Prog, tinyPlan());
+  SampledResult SR = runSampled(DP, tinyPlan());
   ASSERT_GE(SR.NumIntervals, 2u);
 
   // Deterministic workload and shared decider seed: the estimate must land
@@ -194,9 +198,9 @@ TEST(SampledRunner, IpcTracksFullDetailedRun) {
 
 TEST(SampledRunner, RespectsInstructionBudget) {
   MicrobenchProgram MB = instrumentedProgram(3000);
-  SampledResult SR =
-      runSampled(MB.Prog, tinyPlan(), PipelineConfig(), nullptr,
-                 /*MaxInsts=*/5000);
+  const DecodedProgram DP(MB.Prog);
+  SampledResult SR = runSampled(DP, tinyPlan(), PipelineConfig(), nullptr,
+                                /*MaxInsts=*/5000);
   EXPECT_FALSE(SR.Halted);
   EXPECT_EQ(SR.TotalInsts, 5000u);
 }
@@ -209,10 +213,11 @@ TEST(FunctionalWarmer, WarmedPredictorsReduceColdMisses) {
   MicrobenchProgram MB = instrumentedProgram(3000);
   PipelineConfig Config;
 
+  const DecodedProgram DP(MB.Prog);
   auto RunInterval = [&](bool Warm) {
     Machine M;
     BrrUnitDecider D;
-    Interpreter Fn(MB.Prog, M, D);
+    Interpreter Fn(DP, M, D);
     MicroarchState Uarch(Config);
     if (Warm) {
       FunctionalWarmer Warmer(Uarch, Config);
@@ -220,7 +225,7 @@ TEST(FunctionalWarmer, WarmedPredictorsReduceColdMisses) {
     } else {
       Fn.run(4000, /*RequireHalt=*/false);
     }
-    Pipeline Pipe(MB.Prog, M, Uarch, Config, D);
+    Pipeline Pipe(DP, M, Uarch, Config, D);
     return Pipe.run(2000, /*RequireHalt=*/false).Stats;
   };
 

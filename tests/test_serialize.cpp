@@ -57,7 +57,8 @@ TEST(Serialize, DeserializedProgramExecutesIdentically) {
   auto Run = [](const Program &P) {
     Machine M;
     NeverTakenDecider D;
-    Interpreter I(P, M, D);
+    const DecodedProgram DP(P);
+    Interpreter I(DP, M, D);
     I.run(1ULL << 24);
     return M.memory().readU64(P.symbol("results"));
   };

@@ -63,7 +63,8 @@ struct SiteLoop {
   /// Runs to completion and returns (counter value, r4 work accumulator).
   std::pair<uint64_t, uint64_t> run(BrrDecider &D, uint64_t Iters) {
     Machine M;
-    Interpreter I(Prog, M, D);
+    const DecodedProgram DP(Prog);
+    Interpreter I(DP, M, D);
     I.run(200 * Iters + 1000);
     return {M.memory().readU64(CounterAddr), M.readReg(4)};
   }

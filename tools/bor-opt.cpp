@@ -129,8 +129,9 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   } else if (CollectOracle) {
+    const DecodedProgram Dec(R.Prog);
     BrrUnitDecider D;
-    Prof = opt::collectOracleProfile(R.Prog, D, 1ULL << 28);
+    Prof = opt::collectOracleProfile(Dec, D, 1ULL << 28);
   }
 
   if (!EmitProfilePath.empty()) {

@@ -63,7 +63,8 @@ int main(int Argc, char **Argv) {
   else
     D = std::make_unique<HwCounterDecider>();
 
-  Pipeline Pipe(R.Prog, PipelineConfig(), D.get());
+  const DecodedProgram Dec(R.Prog);
+  Pipeline Pipe(Dec, PipelineConfig(), D.get());
   PipeviewRecorder Recorder(Insts, Skip);
   Recorder.attach(Pipe);
   Pipe.run(Skip + Insts + 4096, /*RequireHalt=*/false);

@@ -10,10 +10,11 @@
 #
 # Usage: tools/unused-functions.sh [BUILD_DIR]   (default: build-unused)
 #
-# Prints the unused functions that the allowlist does not cover and exits
-# 1 if there are any, 0 if there are none. An allowlist entry covers a
-# function whose demangled name is the entry, or starts with the entry
-# followed by "::" or "(".
+# Prints the unused functions that the allowlist does not cover, and the
+# allowlist entries that cover no unused function, and exits 1 if there is
+# either kind, 0 if there is neither. An allowlist entry covers a function
+# whose demangled name is the entry, or starts with the entry followed by
+# "::" or "(".
 
 set -euo pipefail
 
@@ -58,22 +59,44 @@ comm -23 "$TMP/defined" "$TMP/kept" >"$TMP/unused"
 
 # Allowlist lines are "<demangled name> # <reason>"; "#" starts a comment.
 sed -e 's/[[:space:]]*#.*$//' -e '/^[[:space:]]*$/d' "$ALLOW" >"$TMP/allow"
-awk 'FILENAME == ARGV[1] { Allow[++N] = $0; next }
+# Unused functions no entry covers go to "left"; entries that cover no
+# unused function go to "stale".
+: >"$TMP/stale"
+awk -v Stale="$TMP/stale" '
+     FILENAME == ARGV[1] { Allow[++N] = $0; next }
      {
+       Hit = 0
        for (I = 1; I <= N; ++I) {
          E = Allow[I]
-         if ($0 == E || index($0, E "::") == 1 || index($0, E "(") == 1)
-           next
+         if ($0 == E || index($0, E "::") == 1 || index($0, E "(") == 1) {
+           Used[I] = 1
+           Hit = 1
+         }
        }
-       print
+       if (!Hit)
+         print
+     }
+     END {
+       for (I = 1; I <= N; ++I)
+         if (!(I in Used))
+           print Allow[I] >Stale
      }' "$TMP/allow" "$TMP/unused" >"$TMP/left"
 
 TOTAL=$(wc -l <"$TMP/unused")
 LEFT=$(wc -l <"$TMP/left")
+STALE=$(wc -l <"$TMP/stale")
 echo "unused-functions: $TOTAL library functions are linked into no" \
-  "program; $((TOTAL - LEFT)) are allowlisted"
+  "program; $((TOTAL - LEFT)) are allowlisted; $STALE allowlist entries" \
+  "match none"
+STATUS=0
 if [ "$LEFT" -ne 0 ]; then
   echo "not allowlisted:"
   sed 's/^/  /' "$TMP/left"
-  exit 1
+  STATUS=1
 fi
+if [ "$STALE" -ne 0 ]; then
+  echo "allowlist entries that match no unused function:"
+  sed 's/^/  /' "$TMP/stale"
+  STATUS=1
+fi
+exit "$STATUS"
