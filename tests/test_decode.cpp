@@ -17,6 +17,11 @@
 //     loop over the same decoded image, including under partial-budget
 //     runs that force chain exits mid-block.
 //
+//  3. Hand-built edge cases the random programs never reach (writes to r0,
+//     jmp, nop, shifts by register, markers, and every way out of the
+//     image) agree under every budget, and a run that leaves the image
+//     dies with the same assert as a step() loop.
+//
 // Plus unit tests of the DecodedProgram image itself (kinds, return bit and
 // operand slots against the Inst helpers for every opcode, pre-resolved
 // targets, pre-masked shift immediates).
@@ -29,6 +34,9 @@
 #include "sim/Interpreter.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <map>
 
 using namespace bor;
 
@@ -508,4 +516,255 @@ TEST(DecodedProgram, SharedImageAcrossEngines) {
   ASSERT_TRUE(S1.Halted);
   expectSameStats(S1, S2);
   expectSameState(captureState(M1, P), captureState(M2, P));
+}
+
+//===----------------------------------------------------------------------===//
+// Hand-built edge cases of the chained run() loop.
+//
+// The random programs above use only r3-r12, never emit jmp, nop, sll/srl
+// by register or markers, and always halt inside the image. Each case
+// below runs under run(k) for every budget k from 1 to its length, and
+// must leave the same registers, memory, PC, stats and marker observations
+// as k step()s and as k steps of the reference stepper. A case that
+// leaves the image must then die with the same assert under run() as under
+// step() when given one more instruction.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// (marker id, instructions retired before it, PC) as a hook observes it.
+struct MarkerSeen {
+  int32_t Id;
+  uint64_t Insts;
+  uint64_t Pc;
+  friend bool operator==(const MarkerSeen &, const MarkerSeen &) = default;
+};
+
+/// Everything run(k), k step()s and k reference steps must agree on.
+struct Outcome {
+  std::array<uint64_t, 32> Regs;
+  std::map<uint64_t, std::vector<uint8_t>> Pages;
+  uint64_t Pc = 0;
+  bool Halted = false;
+  RunStats Stats;
+  std::vector<MarkerSeen> Markers;
+};
+
+Outcome outcomeOf(const Machine &M, const RunStats &Stats,
+                  std::vector<MarkerSeen> Markers) {
+  Outcome O;
+  for (unsigned R = 0; R != 32; ++R)
+    O.Regs[R] = M.readReg(R);
+  M.memory().forEachPage([&O](uint64_t Base, const uint8_t *Data) {
+    O.Pages[Base].assign(Data, Data + Memory::pageBytes());
+  });
+  O.Pc = M.pc();
+  O.Halted = M.halted();
+  O.Stats = Stats;
+  O.Markers = std::move(Markers);
+  return O;
+}
+
+void expectSameOutcome(const Outcome &A, const Outcome &B) {
+  for (unsigned R = 0; R != 32; ++R)
+    EXPECT_EQ(A.Regs[R], B.Regs[R]) << "r" << R;
+  EXPECT_TRUE(A.Pages == B.Pages) << "memory diverged";
+  EXPECT_EQ(A.Pc, B.Pc);
+  EXPECT_EQ(A.Halted, B.Halted);
+  expectSameStats(A.Stats, B.Stats);
+  EXPECT_TRUE(A.Markers == B.Markers) << "marker observations diverged";
+}
+
+Outcome referenceSteps(const Program &P, uint64_t K) {
+  Machine M;
+  BrrUnitDecider D;
+  ReferenceStepper Ref(P, M, D);
+  std::vector<MarkerSeen> Seen;
+  Ref.setMarkerHook(
+      [&](int32_t Id) { Seen.push_back({Id, Ref.stats().Insts, M.pc()}); });
+  for (uint64_t I = 0; I != K && !Ref.halted(); ++I)
+    Ref.step();
+  return outcomeOf(M, Ref.stats(), std::move(Seen));
+}
+
+/// K step()s, or a run(K) when \p Chained is set.
+Outcome engineSteps(const DecodedProgram &DP, uint64_t K, bool Chained) {
+  Machine M;
+  BrrUnitDecider D;
+  Interpreter Eng(DP, M, D);
+  std::vector<MarkerSeen> Seen;
+  Eng.setMarkerHook(
+      [&](int32_t Id) { Seen.push_back({Id, Eng.stats().Insts, M.pc()}); });
+  if (Chained)
+    Eng.run(K, /*RequireHalt=*/false);
+  else
+    for (uint64_t I = 0; I != K && !Eng.halted(); ++I)
+      Eng.step();
+  return outcomeOf(M, Eng.stats(), std::move(Seen));
+}
+
+/// Checks \p P over every budget 1..Length. \p Length is the number of
+/// instructions the program executes until it halts or until (and
+/// including) the one that leaves the image. For a program that leaves,
+/// \p Death is the assert one more instruction must raise.
+void checkEveryBudget(const Program &P, uint64_t Length,
+                      const char *Death = nullptr) {
+  DecodedProgram DP(P);
+  for (uint64_t K = 1; K <= Length; ++K) {
+    SCOPED_TRACE("budget " + std::to_string(K));
+    Outcome Ref = referenceSteps(P, K);
+    Outcome Step = engineSteps(DP, K, /*Chained=*/false);
+    Outcome Run = engineSteps(DP, K, /*Chained=*/true);
+    EXPECT_EQ(Ref.Stats.Insts, K);
+    expectSameOutcome(Ref, Step);
+    expectSameOutcome(Step, Run);
+  }
+  Outcome Last = referenceSteps(P, Length);
+  if (!Death) {
+    EXPECT_TRUE(Last.Halted) << "a halting case must halt at its length";
+    return;
+  }
+  ASSERT_FALSE(Last.Halted);
+  EXPECT_DEATH(engineSteps(DP, Length + 1, /*Chained=*/true), Death);
+  EXPECT_DEATH(engineSteps(DP, Length + 1, /*Chained=*/false), Death);
+}
+
+constexpr const char *OutsideCode = "PC outside code segment";
+
+} // namespace
+
+// All 22 register-writing opcodes with rd = r0, each followed by a read of
+// r0: a write to r0 must never become visible, in either mode.
+TEST(RunEdgeCases, WritesToR0) {
+  ProgramBuilder B;
+  uint64_t Word = B.allocData(8);
+  B.initDataU64(Word, 0x1122334455667788ULL);
+  B.emit(Inst::li(1, -5));
+  B.emit(Inst::li(2, 3));
+  B.emitLoadConst(4, Word);
+
+  auto ReadR0 = [&B] { B.emit(Inst::add(3, 3, RegZero)); };
+  unsigned Writes = 0;
+  auto WriteR0 = [&](Inst I) {
+    ASSERT_EQ(I.Rd, RegZero);
+    B.emit(I);
+    ReadR0();
+    ++Writes;
+  };
+  for (Opcode Op : {Opcode::Add, Opcode::Sub, Opcode::And, Opcode::Or,
+                    Opcode::Xor, Opcode::Sll, Opcode::Srl, Opcode::Mul,
+                    Opcode::Slt})
+    WriteR0(Inst::alu(Op, RegZero, 1, 2));
+  WriteR0(Inst::alu(Opcode::Sltu, RegZero, 2, 1)); // 3 < 2^64 - 5
+  WriteR0(Inst::alui(Opcode::Addi, RegZero, 1, 7));
+  WriteR0(Inst::alui(Opcode::Andi, RegZero, 1, -1));
+  WriteR0(Inst::alui(Opcode::Ori, RegZero, 1, 1));
+  WriteR0(Inst::alui(Opcode::Xori, RegZero, 1, 1));
+  WriteR0(Inst::alui(Opcode::Slli, RegZero, 1, 4));
+  WriteR0(Inst::alui(Opcode::Srli, RegZero, 1, 4));
+  WriteR0(Inst::alui(Opcode::Slti, RegZero, 1, 0));
+  WriteR0(Inst::ld(RegZero, 4, 0));
+  WriteR0(Inst::ldb(RegZero, 4, 0));
+  WriteR0(Inst::jal(RegZero, 1)); // to the read right after it
+  // jalr r0, r6 with r6 = the PC of the read right after it.
+  B.emit(Inst::li(6, static_cast<int32_t>(Program::pcForIndex(B.here() + 2))));
+  WriteR0(Inst::jalr(RegZero, 6));
+  WriteR0(Inst::rdlfsr(RegZero));
+  EXPECT_EQ(Writes, 22u);
+  B.emit(Inst::halt());
+  Program P = B.finish();
+
+  // Straight-line code: every instruction executes once.
+  checkEveryBudget(P, P.numInsts());
+}
+
+// Shifts by register (the amount masked to 0..63), nop, jmp, and markers
+// with a hook installed.
+TEST(RunEdgeCases, ShiftsNopJmpAndMarkers) {
+  ProgramBuilder B;
+  B.emit(Inst::li(1, -5));
+  B.emit(Inst::li(2, 67));
+  B.emit(Inst::alu(Opcode::Sll, 3, 1, 2));
+  B.emit(Inst::alu(Opcode::Srl, 4, 1, 2));
+  B.emit(Inst::nop());
+  B.emit(Inst::marker(7));
+  B.emit(Inst::jmp(2));     // over the next instruction
+  B.emit(Inst::li(5, 99));  // skipped
+  B.emit(Inst::marker(8));
+  B.emit(Inst::alu(Opcode::Srl, 6, 1, RegZero));
+  B.emit(Inst::jmp(2));     // forward to the marker below
+  B.emit(Inst::halt());     // reached by the backward jmp
+  B.emit(Inst::marker(9));
+  B.emit(Inst::jmp(-2));
+  Program P = B.finish();
+
+  checkEveryBudget(P, P.numInsts() - 1);
+}
+
+// No halt: execution falls through past the last instruction.
+TEST(RunEdgeCases, FallsOffTheEnd) {
+  ProgramBuilder B;
+  B.emit(Inst::li(1, 1));
+  B.emit(Inst::addi(1, 1, 2));
+  B.emit(Inst::nop());
+  Program P = B.finish();
+  checkEveryBudget(P, 3, OutsideCode);
+}
+
+// A taken branch whose target is the one-past-the-end PC.
+TEST(RunEdgeCases, BranchToOnePastTheEnd) {
+  ProgramBuilder B;
+  B.emit(Inst::li(1, 1));
+  B.emit(Inst::branch(Opcode::Bne, 1, 1, 5)); // not taken
+  B.emit(Inst::branch(Opcode::Beq, 1, 1, 2)); // taken, to index 4
+  B.emit(Inst::halt());
+  Program P = B.finish();
+  ASSERT_EQ(DecodedProgram(P).at(2).Target, Program::pcForIndex(4));
+  checkEveryBudget(P, 3, OutsideCode);
+}
+
+// Taken branches far outside the image: backward past address 0, so the
+// target wraps to the top of the address space, and far forward.
+TEST(RunEdgeCases, BranchFarOutsideTheImage) {
+  {
+    ProgramBuilder B;
+    B.emit(Inst::li(1, 1));
+    B.emit(Inst::branch(Opcode::Blt, RegZero, 1, -1000));
+    B.emit(Inst::halt());
+    Program P = B.finish();
+    ASSERT_EQ(DecodedProgram(P).at(1).Target, 4 - 4000ULL);
+    checkEveryBudget(P, 2, OutsideCode);
+  }
+  {
+    ProgramBuilder B;
+    B.emit(Inst::nop());
+    B.emit(Inst::jmp(1 << 20));
+    B.emit(Inst::halt());
+    Program P = B.finish();
+    checkEveryBudget(P, 2, OutsideCode);
+  }
+}
+
+// jalr to a target that is not instruction-aligned.
+TEST(RunEdgeCases, JalrToUnalignedTarget) {
+  ProgramBuilder B;
+  B.emit(Inst::li(6, 6));
+  B.emit(Inst::jalr(RegLr, 6));
+  B.emit(Inst::halt());
+  Program P = B.finish();
+  checkEveryBudget(P, 2, "PC must be instruction aligned");
+}
+
+// jalr to aligned targets outside the image: the one-past-the-end PC and a
+// PC far beyond it.
+TEST(RunEdgeCases, JalrOutsideTheImage) {
+  for (int32_t Target : {12, 4000}) {
+    SCOPED_TRACE("target " + std::to_string(Target));
+    ProgramBuilder B;
+    B.emit(Inst::li(6, Target));
+    B.emit(Inst::jalr(RegLr, 6));
+    B.emit(Inst::halt());
+    Program P = B.finish();
+    checkEveryBudget(P, 2, OutsideCode);
+  }
 }
