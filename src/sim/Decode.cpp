@@ -44,7 +44,7 @@ int64_t immFor(const Inst &I) {
 } // namespace
 
 DecodedProgram::DecodedProgram(const Program &P) : Prog(P) {
-  Insts.reserve(P.numInsts());
+  Insts.reserve(P.numInsts() + 1);
   for (size_t Index = 0; Index != P.numInsts(); ++Index) {
     const Inst &I = P.at(Index);
     assert(I.Rd < 32 && I.Rs1 < 32 && I.Rs2 < 32 &&
@@ -71,11 +71,14 @@ DecodedProgram::DecodedProgram(const Program &P) : Prog(P) {
                  4 * static_cast<uint64_t>(static_cast<int64_t>(I.Imm));
     Insts.push_back(D);
   }
+  DecodedInst End;
+  End.Op = EndOfImage;
+  Insts.push_back(End);
 
   if (telemetry::CounterRegistry::enabled()) {
     static const telemetry::Counter Programs("interp.decode.programs");
     static const telemetry::Counter DecInsts("interp.decode.insts");
     Programs.add();
-    DecInsts.add(Insts.size());
+    DecInsts.add(numInsts());
   }
 }

@@ -51,6 +51,11 @@ constexpr uint8_t NoSrcSlot = RegZero;
 constexpr uint8_t NoDstSlot = 32;
 constexpr unsigned NumRegSlots = 33;
 
+/// The opcode of the sentinel entry that ends every decoded image, one past
+/// its last instruction. It is no architectural opcode: only run()'s
+/// dispatch table has an entry for it.
+constexpr Opcode EndOfImage = static_cast<Opcode>(NumOpcodes);
+
 /// One execution-ready instruction. Immediates are pre-sign-extended to 64
 /// bits (shift immediates pre-masked to 0..63); for PC-relative control
 /// instructions Target holds the resolved byte target.
@@ -85,14 +90,18 @@ public:
   explicit DecodedProgram(const Program &P);
 
   const Program &program() const { return Prog; }
-  size_t numInsts() const { return Insts.size(); }
+  /// Number of instructions, not counting the end sentinel.
+  size_t numInsts() const { return Insts.size() - 1; }
 
   const DecodedInst &at(size_t Index) const {
-    assert(Index < Insts.size() && "instruction index out of range");
+    assert(Index < numInsts() && "instruction index out of range");
     return Insts[Index];
   }
 
-  /// Raw instruction array for the dispatch loop.
+  /// Raw instruction array for the dispatch loop: numInsts() instructions,
+  /// then one sentinel whose Op is EndOfImage. The sentinel sits at the
+  /// one-past-the-end PC, so execution that falls or branches there reaches
+  /// it without a range check.
   const DecodedInst *insts() const { return Insts.data(); }
 
   /// Instruction index for a byte PC (asserts alignment and range).

@@ -87,10 +87,21 @@ Machine::Machine() { Regs.fill(0); }
 
 void Machine::loadProgram(const Program &P) {
   Mem.reset();
+  // One copy per page-sized run of the data segment. A run of zeros is
+  // skipped, so only pages that receive a non-zero byte are mapped (a
+  // fresh page is all zero, and an unmapped one reads as zero).
   const std::vector<uint8_t> &Data = P.data();
-  for (size_t I = 0; I != Data.size(); ++I)
-    if (Data[I] != 0)
-      Mem.writeU8(P.dataBase() + I, Data[I]);
+  uint64_t Addr = P.dataBase();
+  for (size_t Off = 0; Off != Data.size();) {
+    size_t Len = std::min<size_t>(Data.size() - Off,
+                                  Memory::pageBytes() -
+                                      Addr % Memory::pageBytes());
+    const uint8_t *Run = Data.data() + Off;
+    if (std::any_of(Run, Run + Len, [](uint8_t B) { return B != 0; }))
+      Mem.writeBytes(Addr, Run, Len);
+    Off += Len;
+    Addr += Len;
+  }
   Pc = 0;
   Halted = false;
 }

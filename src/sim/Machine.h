@@ -21,6 +21,7 @@
 #include "core/BrrUnit.h"
 #include "core/DeterministicBrr.h"
 #include "isa/Program.h"
+#include "sim/Decode.h"
 
 #include <array>
 #include <bit>
@@ -101,6 +102,12 @@ public:
     assert(Addr % 8 == 0 && "64-bit stores must be 8-byte aligned");
     std::memcpy(pageFor(Addr).data() + Addr % PageBytes, &Value,
                 sizeof(Value));
+  }
+  /// Copies \p Len bytes from \p Src to [Addr, Addr + Len), which must lie
+  /// within one page.
+  void writeBytes(uint64_t Addr, const uint8_t *Src, size_t Len) {
+    assert(Addr % PageBytes + Len <= PageBytes && "byte run crosses a page");
+    std::memcpy(pageFor(Addr).data() + Addr % PageBytes, Src, Len);
   }
 
   /// Number of distinct pages touched (for tests).
@@ -297,9 +304,11 @@ public:
       Regs[R] = Value;
   }
 
-  /// Raw register file for the interpreter's threaded dispatch loop.
-  /// Writers must preserve the r0-is-zero invariant (the dispatch loop
-  /// writes the destination unconditionally, then re-clears Regs[RegZero]).
+  /// Raw register file for the interpreter's threaded dispatch loop:
+  /// NumRegSlots entries, the 32 registers and then the write sink that
+  /// DecodedInst::Dst names for an instruction that writes no register
+  /// (rd = r0 included). The loop writes Regs[Dst] unconditionally, so r0
+  /// is never written and stays zero; the sink is never read.
   uint64_t *rawRegs() { return Regs.data(); }
 
   uint64_t pc() const { return Pc; }
@@ -312,7 +321,7 @@ public:
   const Memory &memory() const { return Mem; }
 
 private:
-  std::array<uint64_t, 32> Regs;
+  std::array<uint64_t, NumRegSlots> Regs;
   uint64_t Pc = 0;
   bool Halted = false;
   Memory Mem;
