@@ -39,6 +39,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 namespace bor {
 namespace exp {
@@ -79,31 +80,49 @@ FuncRef funcRun(const DecodedProgram &Dec, uint64_t ChecksumAddr) {
   return R;
 }
 
-RunRecord runPgoCell(const std::string &Source, uint64_t Seed,
-                     uint64_t Iters) {
+PgoGenConfig pgoConfig(uint64_t Seed, uint64_t Iters) {
   PgoGenConfig C;
   C.Iters = Iters;
   C.Seed = Seed;
   C.Instr.Interval = PgoInterval;
+  return C;
+}
+
+/// One seed's baseline program, measured once and read by every profile
+/// source's cell: its detailed-pipeline ROI cycles and functional run.
+struct PgoBaseline {
+  uint64_t Cycles = 0;
+  FuncRef Ref;
+};
+
+PgoBaseline measureBaseline(uint64_t Seed, uint64_t Iters) {
+  PgoWorkload W = buildPgoWorkload(pgoConfig(Seed, Iters));
+  const DecodedProgram BaseDec(W.Baseline);
+  PgoBaseline B;
+  B.Cycles = pipelineRoiCycles(BaseDec);
+  B.Ref = funcRun(BaseDec, W.ChecksumAddr);
+  return B;
+}
+
+RunRecord runPgoCell(const std::string &Source, uint64_t Seed,
+                     uint64_t Iters, const PgoBaseline &Base) {
+  PgoGenConfig C = pgoConfig(Seed, Iters);
   if (Source == "brr")
     C.Instr.Framework = SamplingFramework::BrrBased;
   else if (Source == "cbs")
     C.Instr.Framework = SamplingFramework::CounterBased;
   PgoWorkload W = buildPgoWorkload(C);
 
-  // Each program the cell runs (baseline, instrumented, optimized) is
-  // decoded once and shared by its pipeline and functional runs.
-  const DecodedProgram BaseDec(W.Baseline);
-  uint64_t BaseCycles = pipelineRoiCycles(BaseDec);
-  FuncRef BaseRef = funcRun(BaseDec, W.ChecksumAddr);
-
+  // Each program the cell runs is decoded once and shared by its pipeline
+  // and functional runs; the baseline's own runs happened in Setup.
   opt::ProfileMap Prof;
   double ProfileOverheadPct = 0;
   uint64_t ProfileInsts = 0;
   if (Source == "oracle") {
+    const DecodedProgram BaseDec(W.Baseline);
     BrrUnitDecider D;
     Prof = opt::collectOracleProfile(BaseDec, D, PgoMaxSteps);
-    ProfileInsts = BaseRef.Insts; // the oracle traces the full run
+    ProfileInsts = Base.Ref.Insts; // the oracle traces the full run
   } else if (Source == "brr" || Source == "cbs") {
     const DecodedProgram InstrDec(W.Instrumented);
     Machine Mach;
@@ -116,10 +135,10 @@ RunRecord runPgoCell(const std::string &Source, uint64_t Seed,
       Counts[SI] = Mach.memory().readU64(W.ProfileBase + 8 * SI);
     Prof = opt::profileFromSites(Counts, W.SiteBlocks);
     uint64_t InstrCycles = pipelineRoiCycles(InstrDec);
-    ProfileOverheadPct = BaseCycles
+    ProfileOverheadPct = Base.Cycles
                              ? 100.0 * (static_cast<double>(InstrCycles) -
-                                        static_cast<double>(BaseCycles)) /
-                                   static_cast<double>(BaseCycles)
+                                        static_cast<double>(Base.Cycles)) /
+                                   static_cast<double>(Base.Cycles)
                              : 0;
   }
 
@@ -136,19 +155,19 @@ RunRecord runPgoCell(const std::string &Source, uint64_t Seed,
   // Dynamic instruction counts differ legitimately (relinearization
   // inserts and elides unconditional jumps); the checksum is the
   // layout-invariant part of the execution.
-  bool CheckOk = BaseRef.Halted && OptRef.Halted &&
-                 OptRef.Checksum == BaseRef.Checksum;
+  bool CheckOk = Base.Ref.Halted && OptRef.Halted &&
+                 OptRef.Checksum == Base.Ref.Checksum;
 
   RunRecord R;
   R.param("profile", Source);
   R.param("seed", std::to_string(Seed));
-  R.metric("base_roi_cycles", BaseCycles);
+  R.metric("base_roi_cycles", Base.Cycles);
   R.metric("opt_roi_cycles", OptCycles);
   R.metric("speedup_pct",
-           BaseCycles ? 100.0 * (static_cast<double>(BaseCycles) -
-                                 static_cast<double>(OptCycles)) /
-                            static_cast<double>(BaseCycles)
-                      : 0,
+           Base.Cycles ? 100.0 * (static_cast<double>(Base.Cycles) -
+                                  static_cast<double>(OptCycles)) /
+                             static_cast<double>(Base.Cycles)
+                       : 0,
            2);
   R.metric("profile_overhead_pct", ProfileOverheadPct, 2);
   R.metric("profile_insts", ProfileInsts);
@@ -186,10 +205,16 @@ ExperimentSpec makePgoLayout(const ExperimentOptions &O) {
       S.Cells.push_back(
           {{"profile", Src}, {"seed", std::to_string(Seed + 1)}});
 
-  S.Run = [Iters](const ParamSet &, size_t Index) {
+  auto Bases = std::make_shared<std::vector<PgoBaseline>>();
+  S.Setup = [Bases, Iters] {
+    for (size_t Seed = 0; Seed != PgoSeeds; ++Seed)
+      Bases->push_back(measureBaseline(Seed + 1, Iters));
+  };
+
+  S.Run = [Bases, Iters](const ParamSet &, size_t Index) {
     const std::string Source = PgoSources[Index / PgoSeeds];
-    uint64_t Seed = Index % PgoSeeds + 1;
-    return runPgoCell(Source, Seed, Iters);
+    size_t SeedIdx = Index % PgoSeeds;
+    return runPgoCell(Source, SeedIdx + 1, Iters, (*Bases)[SeedIdx]);
   };
 
   S.Summarize = [](const std::vector<RunRecord> &Cells) {

@@ -10,21 +10,23 @@
 /// detailed Pipeline and once through the SampledRunner — and checks that
 /// the sampled IPC and brr-overhead estimates land within the sampler's
 /// own 95% confidence interval (plus a small bias margin for the interval
-/// cold-start ramp) of the full-run values, while timing both so the
-/// summary reports the sampled mode's wall-clock fraction. The two runs
-/// share one program and the same default decider seed, so they execute
-/// byte-identical instruction streams and differ only in how much of the
-/// stream is cycle-timed.
+/// cold-start ramp) of the full-run values. The two runs share one program
+/// and the same default decider seed, so they execute byte-identical
+/// instruction streams and differ only in how much of the stream is
+/// cycle-timed. Every record is deterministic; under --trace each run is a
+/// span (`full`, `sampled`), which is where the sampled mode's wall-clock
+/// saving shows.
 ///
-/// tests/sample_validation.cmake gates CI on this experiment's verdict.
+/// tests/sample_validation.cmake gates CI on this experiment's verdict and
+/// compares its output with bench/BENCH_sample_error.json.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "exp/Experiment.h"
 #include "exp/Harness.h"
+#include "telemetry/Telemetry.h"
 #include "workloads/AppGen.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -41,15 +43,7 @@ constexpr double BiasMargin = 0.025;
 
 constexpr uint64_t SampleIntervals[] = {16, 1024};
 
-double nowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// One workload measured both ways, program built once and timing taken
-/// around the runs only (both modes pay the same build cost, which is not
-/// part of the simulation-speed claim).
+/// One workload measured both ways, program built once.
 struct Comparison {
   double FullIpc = 0;
   double SampledIpc = 0;
@@ -57,26 +51,24 @@ struct Comparison {
   uint64_t FullRoi = 0;
   double SampledRoi = 0;
   uint64_t Intervals = 0;
-  double FullMs = 0;
-  double SampledMs = 0;
 };
 
 /// Runs \p P both ways and fills a Comparison; the program is built by the
 /// caller (microbenchmark or application analogue), the measurement path
-/// is identical.
-Comparison measureBoth(const Program &P, const SamplingPlan &Plan) {
+/// is identical. Each run is one span in \p TW (null: no trace).
+Comparison measureBoth(const Program &P, const SamplingPlan &Plan,
+                       telemetry::TraceWriter *TW) {
   Comparison Cmp;
-  // Shared decoded image: decode cost is paid once, outside both timers.
+  // Shared decoded image: decode cost is paid once, outside both spans.
   DecodedProgram Dec(P);
-  double T0 = nowMs();
+  telemetry::TraceSpan FullSpan(TW, "full", "sample");
   Pipeline Pipe(Dec, PipelineConfig());
   RunResult Full = Pipe.run(1ULL << 40);
-  double T1 = nowMs();
+  FullSpan.close();
+  telemetry::TraceSpan SampledSpan(TW, "sampled", "sample");
   SampledResult SR = runSampled(Dec, Plan, PipelineConfig());
-  double T2 = nowMs();
+  SampledSpan.close();
 
-  Cmp.FullMs = T1 - T0;
-  Cmp.SampledMs = T2 - T1;
   Cmp.FullIpc = Full.Stats.ipc();
   Cmp.SampledIpc = SR.ipcMean();
   Cmp.IpcCi95 = SR.ipcCi95();
@@ -89,12 +81,12 @@ Comparison measureBoth(const Program &P, const SamplingPlan &Plan) {
 }
 
 Comparison compareRuns(const InstrumentationConfig &Instr, size_t Chars,
-                       const SamplingPlan &Plan) {
+                       const SamplingPlan &Plan, telemetry::TraceWriter *TW) {
   MicrobenchConfig C;
   C.Text.NumChars = Chars;
   C.Instr = Instr;
   MicrobenchProgram MB = buildMicrobench(C);
-  return measureBoth(MB.Prog, Plan);
+  return measureBoth(MB.Prog, Plan, TW);
 }
 
 /// The fig12-shaped cell: a DaCapo-style application analogue under
@@ -102,14 +94,15 @@ Comparison compareRuns(const InstrumentationConfig &Instr, size_t Chars,
 /// shape Figure 12 times — validated the same way as the microbenchmark
 /// arms.
 Comparison compareAppRuns(SamplingFramework F, uint64_t Scale,
-                          const SamplingPlan &Plan) {
+                          const SamplingPlan &Plan,
+                          telemetry::TraceWriter *TW) {
   AppConfig C = dacapoAppAnalogues().front();
   C.NumTopCalls = std::max<uint64_t>(C.NumTopCalls / Scale, 500);
   C.Instr.Framework = F;
   C.Instr.Dup = DuplicationMode::FullDuplication;
   C.Instr.Interval = 1024;
   AppProgram P = buildApp(C);
-  return measureBoth(P.Prog, Plan);
+  return measureBoth(P.Prog, Plan, TW);
 }
 
 /// Computes the IPC- and overhead-agreement verdicts for one cell and
@@ -149,8 +142,6 @@ RunRecord agreementRecord(const std::string &Series,
   R.metric("overhead_tol_pp", OhTol, 2);
   R.metric("overhead_ok", static_cast<uint64_t>(OhOk));
   R.metric("sample_intervals", Cmp.Intervals);
-  R.metric("full_ms", Cmp.FullMs, 1);
-  R.metric("sampled_ms", Cmp.SampledMs, 1);
   return R;
 }
 
@@ -160,6 +151,7 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
   // Validation always compares against the sampled mode bor-bench would
   // use: the user's --sample-* plan if given, else the defaults.
   const SamplingPlan Plan = O.Plan;
+  telemetry::TraceWriter *TW = O.Telemetry ? O.Telemetry->Trace : nullptr;
   ExperimentSpec S;
   char Title[256];
   std::snprintf(Title, sizeof(Title),
@@ -172,12 +164,13 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
   S.Title = Title;
   S.Notes = "ok flags: sampled estimate within the sampler's own 95% CI "
             "(plus a 2.5% bias\nmargin) of the full run's value. The "
-            "summary verdict is PASS only when every\ncell agrees; "
-            "sampled_wallclock_pct is reported, not judged.";
+            "summary verdict is PASS only when every\ncell agrees. "
+            "--trace shows each run's wall-clock as a full or sampled "
+            "span.";
 
   auto Base = std::make_shared<Comparison>();
-  S.Setup = [Base, Chars, Plan] {
-    *Base = compareRuns(InstrumentationConfig(), Chars, Plan);
+  S.Setup = [Base, Chars, Plan, TW] {
+    *Base = compareRuns(InstrumentationConfig(), Chars, Plan, TW);
   };
 
   for (const MicroArm &A : Fig13Arms)
@@ -193,40 +186,30 @@ ExperimentSpec makeSampleError(const ExperimentOptions &O) {
       sizeof(Fig13Arms) / sizeof(Fig13Arms[0]) * NumIntervals;
   S.Cells.push_back({{"series", "app brr (full-dup)"}, {"interval", "1024"}});
 
-  S.Run = [Base, Chars, Plan, Scale](const ParamSet &, size_t Index) {
+  S.Run = [Base, Chars, Plan, Scale, TW](const ParamSet &, size_t Index) {
     if (Index == NumMicroCells) {
       Comparison AppBase =
-          compareAppRuns(SamplingFramework::None, Scale, Plan);
+          compareAppRuns(SamplingFramework::None, Scale, Plan, TW);
       Comparison Cmp =
-          compareAppRuns(SamplingFramework::BrrBased, Scale, Plan);
-      // The app baseline is private to this cell, so fold its wall-clock
-      // into the cell's totals for the summary's speedup accounting.
-      Cmp.FullMs += AppBase.FullMs;
-      Cmp.SampledMs += AppBase.SampledMs;
+          compareAppRuns(SamplingFramework::BrrBased, Scale, Plan, TW);
       return agreementRecord("app brr (full-dup)", "1024", Cmp, AppBase);
     }
     const MicroArm &A = Fig13Arms[Index / NumIntervals];
     uint64_t Interval = SampleIntervals[Index % NumIntervals];
     Comparison Cmp = compareRuns(microConfig(A.F, A.Dup, Interval, A.Body),
-                                 Chars, Plan);
+                                 Chars, Plan, TW);
     return agreementRecord(A.Name, std::to_string(Interval), Cmp, *Base);
   };
 
-  S.Summarize = [Base](const std::vector<RunRecord> &Cells) {
+  S.Summarize = [](const std::vector<RunRecord> &Cells) {
     uint64_t Ok = 0;
-    double FullMs = Base->FullMs, SampledMs = Base->SampledMs;
-    for (const RunRecord &R : Cells) {
+    for (const RunRecord &R : Cells)
       Ok += R.findMetric("ipc_ok")->U && R.findMetric("overhead_ok")->U;
-      FullMs += R.findMetric("full_ms")->D;
-      SampledMs += R.findMetric("sampled_ms")->D;
-    }
-    double WallPct = FullMs > 0 ? 100.0 * SampledMs / FullMs : 100.0;
     bool Pass = Ok == Cells.size();
     RunRecord V;
     V.param("series", "summary");
     V.metric("cells_ok", Ok);
     V.metric("cells_total", static_cast<uint64_t>(Cells.size()));
-    V.metric("sampled_wallclock_pct", WallPct, 1);
     V.metric("verdict", std::string(Pass ? "PASS" : "FAIL"));
     return std::vector<RunRecord>{V};
   };
@@ -240,7 +223,7 @@ void registerSampleExperiments() {
   R.add("sample_error",
         "Sampled-simulation validation: sampled vs full-run IPC and "
         "overhead on the Figure 13 grid plus a fig12-shaped application "
-        "analogue, with wall-clock speedup",
+        "analogue",
         makeSampleError);
 }
 

@@ -46,7 +46,8 @@ double overheadPct(uint64_t Cycles, uint64_t Base) {
 /// every timed run: total cycles, IPC, and the flush-cycle decomposition.
 /// Sampled runs additionally report the estimate's provenance (interval
 /// count and IPC confidence interval); full runs emit exactly the fields
-/// they always did.
+/// they always did. Every field is deterministic; where a sampled run's
+/// wall-clock went is in its trace spans (warm, measure, fast-forward).
 void addPipelineMetrics(RunRecord &R, const MicroRun &Run) {
   R.metric("roi_cycles", Run.RoiCycles);
   R.metric("cycles", Run.Stats.Cycles);
@@ -57,11 +58,6 @@ void addPipelineMetrics(RunRecord &R, const MicroRun &Run) {
   if (Run.Sampled) {
     R.metric("sample_intervals", Run.SampleIntervals);
     R.metric("ipc_ci95", Run.IpcCi95, 4);
-    // Self-profiling phase wall-clock (the only nondeterministic metrics
-    // in a record, and only in sampled mode — full runs stay byte-stable).
-    R.metric("ff_ms", Run.FfMs, 1);
-    R.metric("warm_ms", Run.WarmMs, 1);
-    R.metric("measure_ms", Run.MeasureMs, 1);
   }
 }
 

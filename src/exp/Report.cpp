@@ -93,11 +93,6 @@ indexRecords(const LoadedExperiment &E) {
 
 } // namespace
 
-bool bor::exp::isWallClockMetric(const std::string &Name) {
-  return endsWith(Name, "_ms") || Name == "wall_s" ||
-         Name == "sampled_wallclock_pct";
-}
-
 std::string bor::exp::sparkline(const std::vector<double> &Values) {
   static const char *Levels[] = {"▁", "▂", "▃", "▄",
                                  "▅", "▆", "▇", "█"};
@@ -153,8 +148,6 @@ ReportResult bor::exp::compareRuns(const LoadedRun &Base,
       const LoadedRecord *CR = It->second;
 
       for (const auto &[Name, BM] : BR->Metrics) {
-        if (isWallClockMetric(Name))
-          continue;
         const LoadedMetric *CM = CR->findMetric(Name);
         if (!CM) {
           Structural.push_back("`" + BE.Name + "` [" + Key + "] metric `" +

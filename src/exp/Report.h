@@ -7,11 +7,11 @@
 /// \file
 /// The analysis behind the bor-report tool: compare two loaded runs
 /// (run dirs or committed baselines), metric by metric and counter by
-/// counter, and render a Markdown report. Three rules make the verdict
-/// trustworthy:
+/// counter, and render a Markdown report. Result records carry no
+/// wall-clock, so every metric is deterministic and every one is compared
+/// (an older sampled run's *_ms fields, as the baseline, are listed as
+/// present only in the baseline). Two rules make the verdict trustworthy:
 ///
-///   * wall-clock metrics (*_ms, sampled_wallclock_pct) are never gated —
-///     they are the only nondeterministic numbers the harness emits;
 ///   * a metric with a 95% CI sibling (ipc next to ipc_ci95) is only
 ///     significant when the intervals do not overlap, so sampling noise
 ///     cannot trip the gate;
@@ -65,10 +65,6 @@ ReportResult compareRuns(const LoadedRun &Base, const LoadedRun &Cand,
 /// Eight-level Unicode sparkline of \p Values (min..max normalized;
 /// constant series render mid-level). Empty input renders empty.
 std::string sparkline(const std::vector<double> &Values);
-
-/// True for metrics bor-report must never gate on: the wall-clock numbers
-/// (*_ms and sampled_wallclock_pct) that legitimately vary run to run.
-bool isWallClockMetric(const std::string &Name);
 
 } // namespace exp
 } // namespace bor

@@ -149,7 +149,12 @@ PgoWorkload bor::buildPgoWorkload(const PgoGenConfig &C) {
     W.SiteBlocks[S] = M.blockForIndex(SlotPos[S]);
 
   // The profiling variant: the same program with the sampling framework
-  // and one counter increment around each site.
+  // and one counter increment around each site. With no framework a site
+  // emits nothing, so that variant is the baseline itself.
+  if (C.Instr.Framework == SamplingFramework::None) {
+    W.Instrumented = W.Baseline;
+    return W;
+  }
   InstrumentationConfig IC = C.Instr;
   IC.Dup = DuplicationMode::NoDuplication;
   IC.IncludeBody = true;

@@ -59,8 +59,9 @@ struct PgoWorkload {
 
 /// Emits the program twice from one generator: with no framework (the
 /// baseline, lifted once for the site map) and with C.Instr's framework
-/// around every site (the profiling variant). Deterministic for a given
-/// config.
+/// around every site (the profiling variant). When C.Instr names no
+/// framework the profiling variant is a copy of the baseline, not a second
+/// emission. Deterministic for a given config.
 PgoWorkload buildPgoWorkload(const PgoGenConfig &C);
 
 } // namespace bor

@@ -1,8 +1,7 @@
 # Checkpoint-library smoke check on bor-bench:
 #
-#   1. A library-backed sampled fig13 sweep produces byte-identical JSON to
-#      the plain sampled sweep once the wall-clock phase timers (ff_ms /
-#      warm_ms / measure_ms — the only honest difference) are stripped.
+#   1. Plain and library-backed sampled fig13 sweeps both write the JSON
+#      pinned in bench/sampled/BENCH_fig13.json, byte for byte.
 #   2. The library actually skips re-executed prefix instructions:
 #      sample.insts.fast_forward counts only *executed* fast-forward, so
 #      the plain run's count must be >= 5x the library run's, with
@@ -10,16 +9,21 @@
 #      COW resume path carried the difference.
 #   3. A second run against the same --ckpt-dir loads every library from
 #      disk (ckpt.libraries.loaded, no build instructions) and reproduces
-#      the same stripped JSON — the cross-invocation reuse win.
+#      the same pinned JSON — the cross-invocation reuse win.
 #   4. Every other timing experiment (fig02, fig12, fig14, ablation) takes
-#      the library path too: --ckpt-library writes the plain sampled JSON,
-#      resumes at least once and executes no fast-forward instruction.
+#      the library path too: plain and --ckpt-library sweeps both write
+#      the JSON pinned in bench/sampled/, and the library sweep resumes at
+#      least once and executes no fast-forward instruction.
 #
-# Counter identities gate; wall-clock is reported but never gates (CI
-# machines vary too much for a timing assertion to be meaningful).
+# Output bytes and counter identities gate; wall-clock is reported but
+# never gates (CI machines vary too much for a timing assertion to be
+# meaningful). The pinned files are regenerated with
+#   bor-bench --experiment E --scale 100 --sample --sample-period 50000
+#             --update-baselines --baseline-dir bench/sampled
 #
 # Invoked by ctest with:
-#   -DBENCH=<bor-bench> -DWORKDIR=<scratch dir>
+#   -DBENCH=<bor-bench> -DBASELINE_DIR=<the committed bench/ directory>
+#   -DWORKDIR=<scratch dir>
 
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -47,12 +51,18 @@ function(run tag experiment)
   message(STATUS "${tag} sweep took ~${ELAPSED}s (informational only)")
 endfunction()
 
-# stripped(<out-var> <tag>): ${tag}.json with the wall-clock phase timers
-# removed — everything else must be byte-identical across engines.
-function(stripped out tag)
-  file(READ ${WORKDIR}/${tag}.json TEXT)
-  string(REGEX REPLACE "\"(ff|warm|measure)_ms\":[^,}]*" "" TEXT "${TEXT}")
-  set(${out} "${TEXT}" PARENT_SCOPE)
+# pinned(<tag> <experiment>): ${tag}.json must equal the committed
+# bench/sampled/BENCH_${experiment}.json byte for byte.
+function(pinned tag experiment)
+  set(committed ${BASELINE_DIR}/sampled/BENCH_${experiment}.json)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          ${WORKDIR}/${tag}.json ${committed}
+                  RESULT_VARIABLE DIFF)
+  if(NOT DIFF EQUAL 0)
+    message(FATAL_ERROR
+            "${tag}: sampled JSON differs from the pinned ${committed}; "
+            "diff ${WORKDIR}/${tag}.json against it")
+  endif()
 endfunction()
 
 # counter(<out-var> <tag> <name>): extract one "name   value" counter line;
@@ -82,15 +92,9 @@ endfunction()
 run(plain fig13)
 run(lib fig13 --ckpt-dir ${WORKDIR}/libs)
 
-# 1. Byte-identical experiment output.
-stripped(PLAIN_JSON plain)
-stripped(LIB_JSON lib)
-if(NOT PLAIN_JSON STREQUAL LIB_JSON)
-  message(FATAL_ERROR
-          "library-backed sweep JSON differs from plain sampling "
-          "(beyond the ms phase timers); diff ${WORKDIR}/plain.json "
-          "against ${WORKDIR}/lib.json")
-endif()
+# 1. Both engines write the pinned output.
+pinned(plain fig13)
+pinned(lib fig13)
 
 # 2. The library run skipped >= 5x of the plain run's executed
 #    fast-forward instructions, via real COW resumes.
@@ -134,10 +138,7 @@ if(WARM_BUILD_INSTS GREATER 0)
           "warm rerun re-executed ${WARM_BUILD_INSTS} build instructions "
           "despite the populated cache dir")
 endif()
-stripped(WARM_JSON warm)
-if(NOT PLAIN_JSON STREQUAL WARM_JSON)
-  message(FATAL_ERROR "warm library rerun JSON differs from plain sampling")
-endif()
+pinned(warm fig13)
 
 # 4. The other timing experiments reach the library through the same
 #    options value as fig13; dropping the pool on their path would leave
@@ -145,14 +146,8 @@ endif()
 foreach(exp fig02 fig12 fig14 ablation)
   run(${exp}_plain ${exp})
   run(${exp}_lib ${exp} --ckpt-library)
-  stripped(EXP_PLAIN_JSON ${exp}_plain)
-  stripped(EXP_LIB_JSON ${exp}_lib)
-  if(NOT EXP_PLAIN_JSON STREQUAL EXP_LIB_JSON)
-    message(FATAL_ERROR
-            "${exp}: library-backed JSON differs from plain sampling "
-            "(beyond the ms phase timers); diff ${WORKDIR}/${exp}_plain.json "
-            "against ${WORKDIR}/${exp}_lib.json")
-  endif()
+  pinned(${exp}_plain ${exp})
+  pinned(${exp}_lib ${exp})
   counter(EXP_FF_PLAIN ${exp}_plain "sample\\.insts\\.fast_forward")
   counter(EXP_RESUMES ${exp}_lib "ckpt\\.resumes")
   counter_or_zero(EXP_FF_LIB ${exp}_lib "sample\\.insts\\.fast_forward")

@@ -59,7 +59,7 @@ std::string sampleResults(double Ipc0, double Ci0 = 0.0) {
       "{\"experiment\":\"demo\",\"kind\":\"cell\",\"cell\":0,"
       "\"params\":{\"size\":\"small\"},\"metrics\":{\"ipc\":" +
       std::to_string(Ipc0) + Ci +
-      ",\"roi_cycles\":1000,\"full_ms\":1.5}}\n"
+      ",\"roi_cycles\":1000}}\n"
       "{\"experiment\":\"demo\",\"kind\":\"cell\",\"cell\":1,"
       "\"params\":{\"size\":\"large\"},\"metrics\":{\"ipc\":2.0,"
       "\"roi_cycles\":4000,\"verdict\":\"PASS\"}}\n"
@@ -528,14 +528,6 @@ TEST(Report, SparklineShape) {
   EXPECT_NE(Ramp.find("█"), std::string::npos);
 }
 
-TEST(Report, WallClockMetricNames) {
-  EXPECT_TRUE(isWallClockMetric("ff_ms"));
-  EXPECT_TRUE(isWallClockMetric("sampled_wallclock_pct"));
-  EXPECT_TRUE(isWallClockMetric("wall_s"));
-  EXPECT_FALSE(isWallClockMetric("ipc"));
-  EXPECT_FALSE(isWallClockMetric("roi_cycles"));
-}
-
 TEST(Report, IdenticalRunsAreClean) {
   LoadedRun Base = loadFromText(sampleResults(1.5));
   LoadedRun Cand = loadFromText(sampleResults(1.5));
@@ -543,16 +535,6 @@ TEST(Report, IdenticalRunsAreClean) {
   EXPECT_TRUE(R.clean()) << R.Markdown;
   EXPECT_EQ(R.Regressions, 0u);
   EXPECT_NE(R.Markdown.find("CLEAN"), std::string::npos);
-}
-
-TEST(Report, WallClockChangesNeverGate) {
-  std::string Base = sampleResults(1.5);
-  std::string Cand = Base;
-  size_t Pos = Cand.find("\"full_ms\":1.5");
-  ASSERT_NE(Pos, std::string::npos);
-  Cand.replace(Pos, 13, "\"full_ms\":9.9");
-  ReportResult R = compareRuns(loadFromText(Base), loadFromText(Cand));
-  EXPECT_TRUE(R.clean()) << R.Markdown;
 }
 
 TEST(Report, LowerIpcIsRegressionHigherIsImprovement) {
